@@ -86,9 +86,10 @@ class CpuAdam
     { return size() * kParamsPerGaussian * 2 * sizeof(float); }
 
   private:
-    /** Scalar Adam micro-kernel: updates param, m and v in place. */
+    /** Scalar Adam micro-kernel: updates param, m and v in place.
+     *  @p bc1 / @p bc2 are the row's bias corrections 1 - beta^t. */
     void step(float &param, float grad, float &m, float &v, float lr,
-              uint32_t t) const;
+              float bc1, float bc2) const;
 
     /** Full Adam update of one Gaussian's 59 parameters. */
     void updateRow(GaussianModel &model, const GaussianGrads &grads,

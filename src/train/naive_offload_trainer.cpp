@@ -70,10 +70,13 @@ NaiveOffloadTrainer::trainBatch(const std::vector<int> &view_ids)
     ctx_.materialize(buf);
 
     // Train one view at a time with gradient accumulation into the
-    // staging rows (the "GPU" working copy).
+    // staging rows (the "GPU" working copy). Adam runs only at batch
+    // end, so every view's set can be culled up front in one pass.
+    const BatchWorkload wl = ctx_.buildWorkload(cameras_, view_ids);
     std::vector<uint32_t> touched;
-    for (int v : view_ids) {
-        std::vector<uint32_t> subset = ctx_.cullView(cameras_[v]);
+    for (size_t k = 0; k < view_ids.size(); ++k) {
+        const int v = view_ids[k];
+        const std::vector<uint32_t> &subset = wl.sets[k];
         stats.gaussians_rendered += subset.size();
         ctx_.scratchGrads().zeroRows(subset);
         stats.loss += renderAndBackprop(ctx_.scratch(), v, subset,

@@ -1,12 +1,13 @@
 /**
  * @file
  * Shared per-trainer offload state that ClmTrainer and NaiveOffloadTrainer
- * previously duplicated: the packed GPU-resident critical store (§4.1),
- * the scratch render model whose non-critical rows are materialized from
- * staged device buffers, the gradient staging buffers, batch workload
- * construction (pre-rendering frustum culling, §5.1), planner invocation,
- * and the finalization step (subset CPU Adam from pinned gradient records
- * plus parameter write-back, §4.2.2/§5.4).
+ * previously duplicated: the scratch render model, whose critical
+ * attributes are the GPU-resident critical store (§4.1) and whose
+ * non-critical rows are materialized from staged device buffers, the
+ * gradient staging buffers, batch workload construction (pre-rendering
+ * frustum culling, §5.1), planner invocation, and the finalization step
+ * (subset CPU Adam from pinned gradient records plus parameter
+ * write-back, §4.2.2/§5.4).
  */
 
 #ifndef CLM_TRAIN_TRAINER_CONTEXT_HPP
@@ -19,6 +20,7 @@
 #include "gaussian/model.hpp"
 #include "offload/planner.hpp"
 #include "offload/transfer_engine.hpp"
+#include "render/batch.hpp"
 #include "render/camera.hpp"
 
 namespace clm {
@@ -38,13 +40,13 @@ class TrainerContext
      *  model's current topology (construction, densification). */
     void rebuild();
 
-    /** Pre-rendering frustum culling from the packed critical store. */
-    std::vector<uint32_t> cullView(const Camera &camera) const;
-
-    /** Build the planner workload for a batch of views (culling every
-     *  view from the critical store). */
+    /** Build the planner workload for a batch of views: one batched
+     *  pre-rendering cull (frustumCullBatch) of every view over the
+     *  critical store, so sets[k] is exactly
+     *  frustumCull(model, cameras[view_ids[k]]). Reuses the context's
+     *  cull scratch across calls. */
     BatchWorkload buildWorkload(const std::vector<Camera> &cameras,
-                                const std::vector<int> &view_ids) const;
+                                const std::vector<int> &view_ids);
 
     /** Run the batch planner and stash the result. */
     const BatchPlanResult &planViews(const PlannerConfig &config,
@@ -74,7 +76,8 @@ class TrainerContext
      * @p observe_densify, run subset CPU Adam on the master model, write
      * updated non-critical parameters back into the pool records, zero
      * the gradient records, and push updated critical attributes to the
-     * critical store + scratch model.
+     * critical store (the scratch model), so the next buildWorkload()
+     * culls the updated rows.
      *
      * @return Number of Gaussians updated.
      */
@@ -88,14 +91,16 @@ class TrainerContext
 
   private:
     /** Push master's critical attributes for @p indices to the critical
-     *  store and the scratch model. */
+     *  store (the scratch model). */
     void writeBackCritical(const std::vector<uint32_t> &indices);
 
     GaussianModel &model_;      //!< Master copy (CPU, Adam-updated).
     CpuAdam &adam_;
     Densifier &densifier_;
-    std::vector<float> critical_;    //!< Packed critical store ("GPU").
-    GaussianModel scratch_;          //!< Materialized render inputs.
+    /** Materialized render inputs. Its critical attributes are the
+     *  resident critical store ("GPU"), always valid. */
+    GaussianModel scratch_;
+    BatchCullScratch cull_scratch_;    //!< buildWorkload's cull stage.
     GaussianGrads scratch_grads_;    //!< Per-microbatch backprop target.
     GaussianGrads cpu_grads_;        //!< Staging for subset Adam.
     BatchPlanResult last_plan_;

@@ -1,11 +1,71 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 #include "util/env.hpp"
 #include "util/logging.hpp"
 
 namespace clm {
+
+namespace {
+
+/**
+ * Completion latch of one parallelFor call, shared by the caller and its
+ * helper tasks. A helper that only starts after the call returned finds
+ * the cursor exhausted and touches nothing but this state, which the
+ * shared_ptr keeps alive; @p body is dereferenced only for a claimed
+ * chunk, and the caller does not return before every claimed chunk is
+ * done.
+ */
+struct ForLatch
+{
+    const std::function<void(size_t, size_t)> *body = nullptr;
+    size_t n = 0;
+    size_t chunk = 0;
+    size_t chunks = 0;
+    std::atomic<size_t> next{0};    //!< Chunk cursor.
+    std::atomic<size_t> done{0};    //!< Chunks finished.
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    bool all_done = false;          //!< Guarded by mutex.
+    std::exception_ptr error;       //!< First throw; guarded by mutex.
+
+    /** Claim and run chunks until the cursor is exhausted. */
+    void drain()
+    {
+        for (;;) {
+            const size_t c = next.fetch_add(1);
+            if (c >= chunks)
+                return;
+            const size_t begin = c * chunk;
+            try {
+                (*body)(begin, std::min(begin + chunk, n));
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (!error)
+                    error = std::current_exception();
+            }
+            if (done.fetch_add(1) + 1 == chunks) {
+                std::lock_guard<std::mutex> lock(mutex);
+                all_done = true;
+                done_cv.notify_all();
+            }
+        }
+    }
+
+    /** Block until every chunk is done; returns the first throw. */
+    std::exception_ptr await()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        done_cv.wait(lock, [this] { return all_done; });
+        return error;
+    }
+};
+
+} // namespace
 
 ThreadPool::ThreadPool(unsigned threads)
 {
@@ -85,17 +145,32 @@ ThreadPool::parallelFor(size_t n,
 {
     if (n == 0)
         return;
-    size_t chunks = std::min<size_t>(n, threads() * 2);
-    if (chunks <= 1) {
+    const size_t max_chunks = std::min<size_t>(n, threads() * 2);
+    if (max_chunks <= 1) {
         body(0, n);
         return;
     }
-    size_t chunk = (n + chunks - 1) / chunks;
-    for (size_t begin = 0; begin < n; begin += chunk) {
-        size_t end = std::min(begin + chunk, n);
-        submit([=, &body] { body(begin, end); });
+    auto latch = std::make_shared<ForLatch>();
+    latch->body = &body;
+    latch->n = n;
+    latch->chunk = (n + max_chunks - 1) / max_chunks;
+    latch->chunks = (n + latch->chunk - 1) / latch->chunk;
+    // The caller works too, so one chunk needs no helper.
+    const size_t helpers =
+        std::min<size_t>(threads(), latch->chunks - 1);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        CLM_ASSERT(!stop_, "parallelFor after shutdown");
+        for (size_t h = 0; h < helpers; ++h)
+            tasks_.push([latch] { latch->drain(); });
+        in_flight_ += helpers;
     }
-    wait();
+    for (size_t h = 0; h < helpers; ++h)
+        task_cv_.notify_one();
+
+    latch->drain();
+    if (std::exception_ptr error = latch->await())
+        std::rethrow_exception(error);
 }
 
 ThreadPool &

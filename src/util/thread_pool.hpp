@@ -18,7 +18,16 @@
 
 namespace clm {
 
-/** Fixed-size worker pool with fork-join parallelFor. */
+/**
+ * Fixed-size worker pool with fork-join parallelFor.
+ *
+ * parallelFor keeps its completion state per call (a latch, not the
+ * pool-global task count), and the calling thread claims chunks too.
+ * So concurrent callers never wait on one another's work, and a
+ * parallelFor nested inside a pool task completes even when every
+ * worker is busy: the nested caller runs whatever chunks no worker
+ * picks up.
+ */
 class ThreadPool
 {
   public:
@@ -38,8 +47,15 @@ class ThreadPool
 
     /**
      * Run @p body over [0, n) split into contiguous chunks across the
-     * pool (the calling thread also works). Blocks until all chunks are
-     * done. @p body receives (begin, end).
+     * pool. Chunk c is [c*chunk, min(n, (c+1)*chunk)) with
+     * chunk = ceil(n / min(n, 2*threads())) — a fixed partition, so
+     * callers that reduce per-chunk partials in chunk order stay
+     * deterministic. The calling thread claims chunks from the same
+     * atomic cursor as the helper tasks it submits, and returns as
+     * soon as every chunk of THIS call is done (other callers' tasks
+     * are not waited for). @p body receives (begin, end). If a chunk
+     * throws, the remaining chunks still run and the first exception
+     * is rethrown to the caller.
      */
     void parallelFor(size_t n,
                      const std::function<void(size_t, size_t)> &body);
@@ -47,7 +63,8 @@ class ThreadPool
     /** Enqueue one task; returns immediately. */
     void submit(std::function<void()> task);
 
-    /** Block until every submitted task has finished. */
+    /** Block until every task submitted so far (including parallelFor's
+     *  helper tasks) has finished. */
     void wait();
 
     /** Process-wide shared pool. */

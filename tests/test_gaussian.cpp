@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "gaussian/adam.hpp"
 #include "gaussian/densify.hpp"
@@ -182,21 +184,130 @@ refAdam(float &p, float g, float &m, float &v, float lr, int t,
     p -= lr * mh / (std::sqrt(vh) + c.epsilon);
 }
 
+/** The 59 parameters of row @p i: critical record, then non-critical. */
+std::vector<float>
+rowParams(const GaussianModel &m, size_t i)
+{
+    std::vector<float> p(kParamsPerGaussian);
+    m.packCritical(i, p.data());
+    m.packNonCritical(i, p.data() + kCriticalDim);
+    return p;
+}
+
+/** Row @p i's gradients in rowParams() order. */
+std::vector<float>
+rowGrads(const GaussianGrads &g, size_t i)
+{
+    GaussianModel as_model(i + 1);
+    as_model.position(i) = g.d_position[i];
+    as_model.logScale(i) = g.d_log_scale[i];
+    as_model.rotation(i) = g.d_rotation[i];
+    for (int k = 0; k < kShDim; ++k)
+        as_model.sh(i)[k] = g.d_sh[i * kShDim + k];
+    as_model.rawOpacity(i) = g.d_opacity[i];
+    return rowParams(as_model, i);
+}
+
+/**
+ * Reference Adam over whole rows: every parameter runs refAdam (its own
+ * two pow() calls) at the row's own step count, with the per-attribute
+ * learning rates and the position LR schedule of AdamConfig.
+ */
+struct RefRowAdam
+{
+    AdamConfig c;
+    std::vector<std::vector<float>> m, v;
+    std::vector<int> t;
+
+    RefRowAdam(const AdamConfig &config, size_t n)
+        : c(config), m(n, std::vector<float>(kParamsPerGaussian)),
+          v(n, std::vector<float>(kParamsPerGaussian)), t(n, 0)
+    {
+    }
+
+    float lr(int k, int step) const
+    {
+        if (k < 3) {
+            float progress =
+                std::min(1.0f, static_cast<float>(step)
+                                   / static_cast<float>(
+                                       c.position_lr_max_steps));
+            return c.lr_position
+                   * std::pow(c.lr_position_final / c.lr_position,
+                              progress);
+        }
+        if (k < 6)
+            return c.lr_log_scale;
+        if (k < kCriticalDim)
+            return c.lr_rotation;
+        return k == kCriticalDim + kNcOpacityOffset ? c.lr_opacity
+                                                    : c.lr_sh;
+    }
+
+    void updateRow(GaussianModel &model, const GaussianGrads &g,
+                   size_t i)
+    {
+        std::vector<float> p = rowParams(model, i);
+        const std::vector<float> d = rowGrads(g, i);
+        const int step = ++t[i];
+        for (int k = 0; k < kParamsPerGaussian; ++k)
+            refAdam(p[k], d[k], m[i][k], v[i][k], lr(k, step), step, c);
+        model.unpackCritical(i, p.data());
+        model.unpackNonCritical(i, p.data() + kCriticalDim);
+    }
+};
+
 TEST(CpuAdam, MatchesReferenceScalarAdam)
 {
+    // Every one of a row's 59 parameters, bit for bit, at t = 1..5.
     GaussianModel m = randomModel(3, 8);
-    float p0 = m.position(1).x;
+    GaussianModel ref = m;
     CpuAdam adam;
     adam.reset(3);
+    RefRowAdam ref_adam(adam.config(), 3);
     GaussianGrads g = randomGrads(3, 9);
 
-    float rp = p0, rm = 0, rv = 0;
     for (int t = 1; t <= 5; ++t) {
         adam.update(m, g);
-        refAdam(rp, g.d_position[1].x, rm, rv,
-                adam.config().lr_position, t, adam.config());
+        for (size_t i = 0; i < 3; ++i) {
+            ref_adam.updateRow(ref, g, i);
+            const std::vector<float> got = rowParams(m, i);
+            const std::vector<float> want = rowParams(ref, i);
+            for (int k = 0; k < kParamsPerGaussian; ++k)
+                EXPECT_EQ(got[k], want[k])
+                    << "t=" << t << " row " << i << " param " << k;
+        }
     }
-    EXPECT_NEAR(m.position(1).x, rp, 1e-5f);
+}
+
+TEST(CpuAdam, SubsetRowsAtDifferentStepsMatchReference)
+{
+    // updateSubset over rows whose step counters have diverged: each
+    // row's bias correction must follow its OWN count.
+    GaussianModel m = randomModel(5, 15);
+    GaussianModel ref = m;
+    CpuAdam adam;
+    adam.reset(5);
+    RefRowAdam ref_adam(adam.config(), 5);
+    const std::vector<std::vector<uint32_t>> subsets{
+        {0, 1, 2, 3, 4}, {1, 3}, {0, 3, 4}, {3}, {2, 4}, {0, 1, 3}};
+    for (size_t s = 0; s < subsets.size(); ++s) {
+        GaussianGrads g = randomGrads(5, 100 + s);
+        adam.updateSubset(m, g, subsets[s]);
+        for (uint32_t i : subsets[s])
+            ref_adam.updateRow(ref, g, i);
+        for (size_t i = 0; i < 5; ++i) {
+            EXPECT_EQ(adam.stepCount(i),
+                      static_cast<uint32_t>(ref_adam.t[i]));
+            const std::vector<float> got = rowParams(m, i);
+            const std::vector<float> want = rowParams(ref, i);
+            for (int k = 0; k < kParamsPerGaussian; ++k)
+                EXPECT_EQ(got[k], want[k])
+                    << "subset " << s << " row " << i << " param " << k;
+        }
+    }
+    EXPECT_EQ(adam.stepCount(3), 5u);
+    EXPECT_EQ(adam.stepCount(2), 2u);
 }
 
 TEST(CpuAdam, SubsetUpdateOnlyTouchesSubset)

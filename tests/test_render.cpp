@@ -9,8 +9,12 @@
 
 #include <cmath>
 
+#include "gaussian/adam.hpp"
+#include "gaussian/densify.hpp"
 #include "math/ellipsoid.hpp"
 #include "math/rng.hpp"
+#include "offload/pinned_pool.hpp"
+#include "offload/transfer_engine.hpp"
 #include "render/arena.hpp"
 #include "render/camera.hpp"
 #include "render/culling.hpp"
@@ -20,6 +24,7 @@
 #include "scene/camera_path.hpp"
 #include "scene/scene_spec.hpp"
 #include "scene/synthetic.hpp"
+#include "train/trainer_context.hpp"
 
 namespace clm {
 namespace {
@@ -155,19 +160,74 @@ TEST(Culling, MatchesBruteForceReference)
     }
 }
 
-TEST(Culling, PackedMatchesModel)
+TEST(Culling, TrainingWorkloadMatchesPerViewCull)
 {
-    Camera cam = canonicalCamera();
+    // The training cull (one frustumCullBatch over the context's
+    // resident critical attributes) must select exactly frustumCull()
+    // of the master model for every view — before AND after finalize()
+    // has moved rows, so the resident stage is never stale.
     Rng rng(43);
-    GaussianModel m = GaussianModel::random(300, {-15, -15, -10},
+    GaussianModel m = GaussianModel::random(600, {-15, -15, -10},
                                             {15, 15, 30}, 0.4f, rng);
-    std::vector<float> packed(m.size() * kCriticalDim);
-    for (size_t i = 0; i < m.size(); ++i)
-        m.packCritical(i, &packed[i * kCriticalDim]);
+    const float tiny = std::log(1e-12f), huge = std::log(40.0f);
+    for (size_t i = 0; i < m.size(); i += 7)
+        m.logScale(i) = {tiny, tiny, tiny};        // point-like
+    for (size_t i = 3; i < m.size(); i += 11)
+        m.logScale(i) = {tiny, 0.0f, 0.0f};        // flat disc
+    for (size_t i = 5; i < m.size(); i += 29)
+        m.logScale(i) = {huge, huge, huge};
+    for (size_t i = 1; i < m.size(); i += 13) {    // near-plane straddlers
+        m.position(i).z = 0.1f + rng.uniform(-0.05f, 0.05f);
+        m.logScale(i) = {std::log(0.05f), std::log(0.05f),
+                         std::log(0.05f)};
+    }
+    const std::vector<Camera> cams{
+        canonicalCamera(),
+        Camera::lookAt({8, 2, -6}, {0, 0, 10}, {0, 1, 0}, 48, 40, 0.9f,
+                       0.1f, 100.0f),
+        Camera::lookAt({-5, 9, 40}, {0, 0, 0}, {0, 1, 0}, 64, 32, 1.2f,
+                       0.5f, 60.0f),
+        canonicalCamera()};                         // duplicate of view 0
+    const std::vector<int> ids{2, 0, 3, 1, 0};      // and a repeated id
 
-    auto a = frustumCull(m, cam);
-    auto b = frustumCullPacked(packed.data(), m.size(), cam);
-    EXPECT_EQ(a, b);
+    AdamConfig ac;
+    ac.lr_position = ac.lr_position_final = 4.0f;   // rows really move
+    CpuAdam adam(ac);
+    adam.reset(m.size());
+    Densifier densifier;
+    TrainerContext ctx(m, adam, densifier);
+
+    auto expect_exact = [&](const BatchWorkload &wl) {
+        ASSERT_EQ(wl.sets.size(), ids.size());
+        for (size_t k = 0; k < ids.size(); ++k)
+            EXPECT_EQ(wl.sets[k], frustumCull(m, cams[ids[k]]))
+                << "view " << ids[k];
+    };
+    const BatchWorkload before = ctx.buildWorkload(cams, ids);
+    expect_exact(before);
+    EXPECT_FALSE(before.sets[1].empty());
+
+    // Finalize every other Gaussian through pinned gradient records.
+    PinnedPool pool(m.size());
+    pool.uploadParams(m);
+    pool.zeroGradients();
+    GaussianGrads g;
+    g.resize(m.size());
+    std::vector<uint32_t> fin;
+    for (uint32_t i = 0; i < m.size(); i += 2) {
+        g.d_position[i] = {rng.uniform(-1, 1), rng.uniform(-1, 1),
+                           rng.uniform(-1, 1)};
+        packGradRecord(g, i, pool.gradRecord(i));
+        fin.push_back(i);
+    }
+    EXPECT_EQ(ctx.finalize(pool, fin, false), fin.size());
+
+    const BatchWorkload after = ctx.buildWorkload(cams, ids);
+    expect_exact(after);
+    bool moved = false;
+    for (size_t k = 0; k < ids.size(); ++k)
+        moved |= after.sets[k] != before.sets[k];
+    EXPECT_TRUE(moved) << "finalize() changed no view's membership";
 }
 
 TEST(Culling, SparsityHelper)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the util layer: logging error paths, the table printer, the
- * timer, image file output, and the blocking MPMC queue behind the
- * render service.
+ * timer, image file output, the thread pool's per-call parallelFor
+ * latch, and the blocking MPMC queue behind the render service.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +11,14 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <cstdlib>
 
@@ -214,6 +218,126 @@ TEST(ThreadPool, ClmThreadsEnvPinsDefaultWorkerCount)
         EXPECT_EQ(pool.threads(), 2u);
     }
     ASSERT_EQ(unsetenv("CLM_THREADS"), 0);
+}
+
+TEST(ThreadPool, NestedParallelForInsidePoolTasksCompletes)
+{
+    // Every worker runs a task that itself calls parallelFor on the same
+    // pool: no worker is free to help, so each nested caller must run
+    // its own chunks instead of waiting on the pool.
+    ThreadPool pool(2);
+    std::atomic<size_t> sum{0};
+    for (int t = 0; t < 2; ++t)
+        pool.submit([&] {
+            pool.parallelFor(100, [&](size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i)
+                    sum.fetch_add(i, std::memory_order_relaxed);
+            });
+        });
+    pool.wait();
+    EXPECT_EQ(sum.load(), 2u * (99u * 100u / 2u));
+
+    // parallelFor nested in a parallelFor body, too.
+    std::vector<std::atomic<int>> hits(8 * 50);
+    pool.parallelFor(8, [&](size_t b0, size_t e0) {
+        for (size_t o = b0; o < e0; ++o)
+            pool.parallelFor(50, [&](size_t b1, size_t e1) {
+                for (size_t i = b1; i < e1; ++i)
+                    hits[o * 50 + i].fetch_add(1);
+            });
+    });
+    for (const std::atomic<int> &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeOnce)
+{
+    // N threads call parallelFor on one pool at once. Every call must
+    // see each index of its own range exactly once, in chunks that start
+    // at multiples of the fixed chunk size.
+    ThreadPool pool(3);
+    constexpr int kCallers = 6;
+    constexpr int kRounds = 20;
+    std::vector<std::thread> callers;
+    std::vector<int> errors(kCallers, 0);
+    for (int c = 0; c < kCallers; ++c)
+        callers.emplace_back([&, c] {
+            for (int r = 0; r < kRounds; ++r) {
+                const size_t n = 37 + 101 * c + r;
+                const size_t chunk = (n + 5) / 6;    // ceil(n / 2*3)
+                std::vector<std::atomic<int>> hits(n);
+                std::atomic<int> misaligned{0};
+                pool.parallelFor(n, [&](size_t begin, size_t end) {
+                    if (begin % chunk != 0
+                        || end != std::min(begin + chunk, n))
+                        misaligned.fetch_add(1);
+                    for (size_t i = begin; i < end; ++i)
+                        hits[i].fetch_add(1);
+                });
+                for (const std::atomic<int> &h : hits)
+                    errors[c] += h.load() != 1;
+                errors[c] += misaligned.load();
+            }
+        });
+    for (std::thread &t : callers)
+        t.join();
+    for (int c = 0; c < kCallers; ++c)
+        EXPECT_EQ(errors[c], 0) << "caller " << c;
+}
+
+TEST(ThreadPool, ShortCallReturnsWhileAnotherCallersChunksRun)
+{
+    // A long call occupies every worker (and its own caller) with chunks
+    // that block until released. A short call from another thread must
+    // still return: it waits on its own latch, not on the pool.
+    ThreadPool pool(2);
+    std::mutex m;
+    std::condition_variable cv;
+    bool released = false;
+    bool timed_out = false;
+    std::atomic<int> started{0};
+    std::thread long_caller([&] {
+        pool.parallelFor(4, [&](size_t, size_t) {
+            started.fetch_add(1);
+            std::unique_lock<std::mutex> lock(m);
+            if (!cv.wait_for(lock, std::chrono::seconds(5),
+                             [&] { return released; }))
+                timed_out = true;
+        });
+    });
+    // Caller + 2 helpers hold one blocked chunk each.
+    while (started.load() < 3)
+        std::this_thread::yield();
+
+    std::vector<int> hits(64, 0);
+    pool.parallelFor(hits.size(), [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i)
+            ++hits[i];
+    });
+    {
+        std::lock_guard<std::mutex> lock(m);
+        EXPECT_FALSE(timed_out) << "short call waited for the long one";
+        released = true;
+    }
+    cv.notify_all();
+    long_caller.join();
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 64);
+    EXPECT_EQ(started.load(), 4);
+}
+
+TEST(ThreadPool, ChunkExceptionReachesCallerAfterAllChunksRan)
+{
+    ThreadPool pool(2);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.parallelFor(4,
+                                  [&](size_t begin, size_t) {
+                                      ran.fetch_add(1);
+                                      if (begin == 1)
+                                          throw std::runtime_error("x");
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 4);
+    pool.wait();
 }
 
 TEST(MpmcQueue, PopBatchDrainsInFifoOrderUpToCap)
