@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "math/rng.hpp"
 #include "render/image.hpp"
 #include "render/loss.hpp"
+#include "util/mix.hpp"
 
 namespace clm {
 namespace {
@@ -157,6 +160,121 @@ TEST(SatLoss, ScratchReuseBitwiseIdentical)
         EXPECT_EQ(fresh.total, reused.total);
         EXPECT_EQ(fresh.dssim, reused.dssim);
         EXPECT_EQ(d_fresh.data(), d_reused.data());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bits: the loss gradient and L1 of seeded cases, pinned as
+// FNV-1a hashes of the raw float/double bits. The gradient never depends
+// on the pool size or the kernel table, so these also hold every SIMD
+// backend (CLM_SIMD) and thread count (CLM_THREADS) to one bit pattern.
+// ---------------------------------------------------------------------------
+
+/** How a golden case fills its pixels. */
+enum class Fill
+{
+    kRandom,      //!< Uniform [0, 1) values.
+    kFlat,        //!< One constant per image.
+    kEndpoints,   //!< Mostly exact 0 and 1, some uniform values.
+};
+
+/** Pixel values from SplitMix64 alone (no <random> distribution), so the
+ *  inputs are the same under every standard library. */
+Image
+goldenImage(int w, int h, uint64_t seed, Fill fill)
+{
+    Image img(w, h);
+    std::vector<float> &d = img.data();
+    for (size_t i = 0; i < d.size(); ++i) {
+        const uint64_t bits = splitmix64(seed * 0x100000001b3ull + i);
+        const float u = static_cast<float>(bits >> 40) * 0x1.0p-24f;
+        switch (fill) {
+        case Fill::kRandom:
+            d[i] = u;
+            break;
+        case Fill::kFlat:
+            d[i] = static_cast<float>(seed % 7) / 8.0f;
+            break;
+        case Fill::kEndpoints:
+            d[i] = (bits & 3) == 0 ? 0.0f : (bits & 3) == 1 ? 1.0f : u;
+            break;
+        }
+    }
+    return img;
+}
+
+uint64_t
+fnv1a(const void *data, size_t bytes, uint64_t h = 1469598103934665603ull)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct GoldenCase
+{
+    const char *name;
+    int w, h, window;
+    uint64_t seed_x, seed_y;
+    Fill fill_x, fill_y;
+    bool ties;                //!< Copy x into y on every third value.
+    uint64_t grad_hash;       //!< FNV-1a of d_rendered's float bits.
+    uint64_t l1_bits;         //!< Bits of LossResult::l1.
+};
+
+TEST(SatLoss, GoldenBits)
+{
+    const GoldenCase cases[] = {
+        {"256x144 w11", 256, 144, 11, 1, 2, Fill::kRandom, Fill::kRandom,
+         false, 0xe6960ea1d8e803baull, 0x3fd54be084ec25edull},
+        {"67x23 w11", 67, 23, 11, 3, 4, Fill::kRandom, Fill::kRandom,
+         false, 0x47a6825a6e8a1353ull, 0x3fd54f9081f029a4ull},
+        {"130x9 w5", 130, 9, 5, 5, 6, Fill::kRandom, Fill::kRandom, false,
+         0x7f679c8dd4df00f9ull, 0x3fd5277257e2d383ull},
+        {"5x3 w11", 5, 3, 11, 7, 8, Fill::kRandom, Fill::kRandom, false,
+         0xd7575281acf94cd2ull, 0x3fd4f826ec16c16cull},
+        {"1x1 w11", 1, 1, 11, 9, 10, Fill::kRandom, Fill::kRandom, false,
+         0x6e3eb5f7afa09fbcull, 0x3fcdf54a80000000ull},
+        {"37x29 w3", 37, 29, 3, 11, 12, Fill::kRandom, Fill::kRandom, false,
+         0xac4e073a7b152ffbull, 0x3fd5248c081ca148ull},
+        {"37x29 w5", 37, 29, 5, 13, 14, Fill::kRandom, Fill::kRandom, false,
+         0x7bb8aefb7318286ull, 0x3fd4e0f1768e5ad2ull},
+        {"37x29 w7", 37, 29, 7, 15, 16, Fill::kRandom, Fill::kRandom, false,
+         0xa049ceba49a2058aull, 0x3fd5484a55a6c512ull},
+        {"flat 33x17 w11", 33, 17, 11, 17, 19, Fill::kFlat, Fill::kFlat,
+         false, 0x59e58f96ab61058bull, 0x3fd0000000000000ull},
+        {"flat vs random 41x13 w7", 41, 13, 7, 20, 21, Fill::kFlat,
+         Fill::kRandom, false, 0x4c886e23d33a2d0bull,
+         0x3fd4025d40853408ull},
+        {"ties 71x31 w11", 71, 31, 11, 22, 23, Fill::kRandom, Fill::kRandom,
+         true, 0x727d72c43bec59ebull, 0x3fcbecb9a92c8c0aull},
+        {"identical 45x19 w11", 45, 19, 11, 24, 24, Fill::kRandom,
+         Fill::kRandom, false, 0xd61f057ca6e317ceull, 0x0ull},
+        {"endpoints 99x27 w11", 99, 27, 11, 25, 26, Fill::kEndpoints,
+         Fill::kEndpoints, false, 0x3b90ef62e430b2acull,
+         0x3fdd3bba1a566307ull},
+    };
+    for (const GoldenCase &gc : cases) {
+        Image x = goldenImage(gc.w, gc.h, gc.seed_x, gc.fill_x);
+        Image y = goldenImage(gc.w, gc.h, gc.seed_y, gc.fill_y);
+        if (gc.ties)
+            for (size_t i = 0; i < y.data().size(); i += 3)
+                y.data()[i] = x.data()[i];
+        LossConfig cfg;
+        cfg.ssim_window = gc.window;
+        Image d;
+        const LossResult res = computeLoss(x, y, &d, cfg);
+        uint64_t l1_bits;
+        std::memcpy(&l1_bits, &res.l1, sizeof(l1_bits));
+        const uint64_t grad_hash =
+            fnv1a(d.data().data(), d.data().size() * sizeof(float));
+        EXPECT_EQ(grad_hash, gc.grad_hash)
+            << gc.name << ": gradient hash 0x" << std::hex << grad_hash;
+        EXPECT_EQ(l1_bits, gc.l1_bits)
+            << gc.name << ": l1 bits 0x" << std::hex << l1_bits;
     }
 }
 
