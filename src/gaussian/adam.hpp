@@ -73,6 +73,12 @@ class CpuAdam
     void updateSubset(GaussianModel &model, const GaussianGrads &grads,
                       const std::vector<uint32_t> &indices);
 
+    /** Full Adam update of Gaussian @p i's 59 parameters. Touches row
+     *  @p i of the model, the gradients and the moments only, so
+     *  distinct rows may update concurrently. */
+    void updateRow(GaussianModel &model, const GaussianGrads &grads,
+                   uint32_t i);
+
     /** Per-Gaussian step counts (for tests and bias-correction checks). */
     uint32_t stepCount(size_t i) const { return step_[i]; }
 
@@ -90,10 +96,6 @@ class CpuAdam
      *  @p bc1 / @p bc2 are the row's bias corrections 1 - beta^t. */
     void step(float &param, float grad, float &m, float &v, float lr,
               float bc1, float bc2) const;
-
-    /** Full Adam update of one Gaussian's 59 parameters. */
-    void updateRow(GaussianModel &model, const GaussianGrads &grads,
-                   uint32_t i);
 
     /** Scheduled position LR at per-Gaussian step @p t. */
     float positionLr(uint32_t t) const;

@@ -36,7 +36,13 @@
  *
  * Masks are F8 values whose lanes are all-ones (true) or all-zeros
  * (false) bit patterns, as produced by lt()/gt(); combine them with
- * bitAnd/bitOr/bitAndNot and apply them with select().
+ * bitAnd/bitOr/bitAndNot and apply them with select(). *
+ * D4 is the double-precision sibling: 4 doubles per batch (one 256-bit
+ * register on AVX2, two 128-bit registers on SSE2/NEON, a plain
+ * double[4] on the scalar fallback), with the same no-FMA,
+ * correctly-rounded contract, so a D4 expression matches the same
+ * expression on plain doubles lane for lane. The SSIM loss kernels use
+ * it to evaluate four pixels per op bit-identically to scalar code.
  */
 
 #ifndef CLM_MATH_SIMD_HPP
@@ -157,6 +163,44 @@ inline F8 operator*(F8 a, F8 b) { return {_mm256_mul_ps(a.v, b.v)}; }
  *  quotients are bitwise identical across ISAs like every other op. */
 inline F8 operator/(F8 a, F8 b) { return {_mm256_div_ps(a.v, b.v)}; }
 
+struct D4
+{
+    __m256d v;
+
+    static D4 broadcast(double x) { return {_mm256_set1_pd(x)}; }
+    static D4 load(const double *p) { return {_mm256_loadu_pd(p)}; }
+    void store(double *p) const { _mm256_storeu_pd(p, v); }
+
+    static D4 lt(D4 a, D4 b)
+    { return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)}; }
+    static D4 gt(D4 a, D4 b)
+    { return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)}; }
+    static D4 bitAnd(D4 a, D4 b) { return {_mm256_and_pd(a.v, b.v)}; }
+    static D4 bitOr(D4 a, D4 b) { return {_mm256_or_pd(a.v, b.v)}; }
+
+    /** Lanes p[0], p[3], p[6], p[9] widened (one channel of 4
+     *  interleaved RGB pixels). */
+    static D4 loadFloat3(const float *p)
+    { return {_mm256_cvtps_pd(_mm_setr_ps(p[0], p[3], p[6], p[9]))}; }
+    /** Round each lane to float (nearest) into p[0], p[3], p[6], p[9]. */
+    void storeFloat3(float *p) const
+    {
+        const __m128 f = _mm256_cvtpd_ps(v);
+        p[0] = _mm_cvtss_f32(f);
+        p[3] = _mm_cvtss_f32(_mm_shuffle_ps(f, f, 1));
+        p[6] = _mm_cvtss_f32(_mm_shuffle_ps(f, f, 2));
+        p[9] = _mm_cvtss_f32(_mm_shuffle_ps(f, f, 3));
+    }
+};
+
+inline D4 operator+(D4 a, D4 b) { return {_mm256_add_pd(a.v, b.v)}; }
+inline D4 operator-(D4 a, D4 b) { return {_mm256_sub_pd(a.v, b.v)}; }
+inline D4 operator*(D4 a, D4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
+inline D4 operator/(D4 a, D4 b) { return {_mm256_div_pd(a.v, b.v)}; }
+/** Sign-bit flip, exactly like scalar unary minus (zeros included). */
+inline D4 operator-(D4 a)
+{ return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))}; }
+
 #elif defined(CLM_SIMD_ISA_SSE2)
 
 struct F8
@@ -231,6 +275,59 @@ inline F8 operator*(F8 a, F8 b)
 { return {_mm_mul_ps(a.lo, b.lo), _mm_mul_ps(a.hi, b.hi)}; }
 inline F8 operator/(F8 a, F8 b)
 { return {_mm_div_ps(a.lo, b.lo), _mm_div_ps(a.hi, b.hi)}; }
+
+struct D4
+{
+    __m128d lo, hi;
+
+    static D4 broadcast(double x)
+    { return {_mm_set1_pd(x), _mm_set1_pd(x)}; }
+    static D4 load(const double *p)
+    { return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)}; }
+    void store(double *p) const
+    {
+        _mm_storeu_pd(p, lo);
+        _mm_storeu_pd(p + 2, hi);
+    }
+
+    static D4 lt(D4 a, D4 b)
+    { return {_mm_cmplt_pd(a.lo, b.lo), _mm_cmplt_pd(a.hi, b.hi)}; }
+    static D4 gt(D4 a, D4 b)
+    { return {_mm_cmpgt_pd(a.lo, b.lo), _mm_cmpgt_pd(a.hi, b.hi)}; }
+    static D4 bitAnd(D4 a, D4 b)
+    { return {_mm_and_pd(a.lo, b.lo), _mm_and_pd(a.hi, b.hi)}; }
+    static D4 bitOr(D4 a, D4 b)
+    { return {_mm_or_pd(a.lo, b.lo), _mm_or_pd(a.hi, b.hi)}; }
+
+    static D4 loadFloat3(const float *p)
+    {
+        return {_mm_cvtps_pd(_mm_setr_ps(p[0], p[3], 0.0f, 0.0f)),
+                _mm_cvtps_pd(_mm_setr_ps(p[6], p[9], 0.0f, 0.0f))};
+    }
+    void storeFloat3(float *p) const
+    {
+        const __m128 l = _mm_cvtpd_ps(lo);
+        const __m128 h = _mm_cvtpd_ps(hi);
+        p[0] = _mm_cvtss_f32(l);
+        p[3] = _mm_cvtss_f32(_mm_shuffle_ps(l, l, 1));
+        p[6] = _mm_cvtss_f32(h);
+        p[9] = _mm_cvtss_f32(_mm_shuffle_ps(h, h, 1));
+    }
+};
+
+inline D4 operator+(D4 a, D4 b)
+{ return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)}; }
+inline D4 operator-(D4 a, D4 b)
+{ return {_mm_sub_pd(a.lo, b.lo), _mm_sub_pd(a.hi, b.hi)}; }
+inline D4 operator*(D4 a, D4 b)
+{ return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)}; }
+inline D4 operator/(D4 a, D4 b)
+{ return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)}; }
+inline D4 operator-(D4 a)
+{
+    const __m128d sign = _mm_set1_pd(-0.0);
+    return {_mm_xor_pd(a.lo, sign), _mm_xor_pd(a.hi, sign)};
+}
 
 #elif defined(CLM_SIMD_ISA_NEON)
 
@@ -335,6 +432,76 @@ inline F8 operator*(F8 a, F8 b)
 /** vdivq_f32 (AArch64) is the correctly-rounded IEEE quotient. */
 inline F8 operator/(F8 a, F8 b)
 { return {vdivq_f32(a.lo, b.lo), vdivq_f32(a.hi, b.hi)}; }
+
+struct D4
+{
+    float64x2_t lo, hi;
+
+    static D4 broadcast(double x)
+    { return {vdupq_n_f64(x), vdupq_n_f64(x)}; }
+    static D4 load(const double *p)
+    { return {vld1q_f64(p), vld1q_f64(p + 2)}; }
+    void store(double *p) const
+    {
+        vst1q_f64(p, lo);
+        vst1q_f64(p + 2, hi);
+    }
+
+    static D4 lt(D4 a, D4 b)
+    {
+        return {vreinterpretq_f64_u64(vcltq_f64(a.lo, b.lo)),
+                vreinterpretq_f64_u64(vcltq_f64(a.hi, b.hi))};
+    }
+    static D4 gt(D4 a, D4 b)
+    {
+        return {vreinterpretq_f64_u64(vcgtq_f64(a.lo, b.lo)),
+                vreinterpretq_f64_u64(vcgtq_f64(a.hi, b.hi))};
+    }
+    static D4 bitAnd(D4 a, D4 b)
+    {
+        return {vreinterpretq_f64_u64(
+                    vandq_u64(vreinterpretq_u64_f64(a.lo),
+                              vreinterpretq_u64_f64(b.lo))),
+                vreinterpretq_f64_u64(
+                    vandq_u64(vreinterpretq_u64_f64(a.hi),
+                              vreinterpretq_u64_f64(b.hi)))};
+    }
+    static D4 bitOr(D4 a, D4 b)
+    {
+        return {vreinterpretq_f64_u64(
+                    vorrq_u64(vreinterpretq_u64_f64(a.lo),
+                              vreinterpretq_u64_f64(b.lo))),
+                vreinterpretq_f64_u64(
+                    vorrq_u64(vreinterpretq_u64_f64(a.hi),
+                              vreinterpretq_u64_f64(b.hi)))};
+    }
+
+    static D4 loadFloat3(const float *p)
+    {
+        const float lo2[2] = {p[0], p[3]};
+        const float hi2[2] = {p[6], p[9]};
+        return {vcvt_f64_f32(vld1_f32(lo2)), vcvt_f64_f32(vld1_f32(hi2))};
+    }
+    void storeFloat3(float *p) const
+    {
+        const float32x2_t l = vcvt_f32_f64(lo);
+        const float32x2_t h = vcvt_f32_f64(hi);
+        p[0] = vget_lane_f32(l, 0);
+        p[3] = vget_lane_f32(l, 1);
+        p[6] = vget_lane_f32(h, 0);
+        p[9] = vget_lane_f32(h, 1);
+    }
+};
+
+inline D4 operator+(D4 a, D4 b)
+{ return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)}; }
+inline D4 operator-(D4 a, D4 b)
+{ return {vsubq_f64(a.lo, b.lo), vsubq_f64(a.hi, b.hi)}; }
+inline D4 operator*(D4 a, D4 b)
+{ return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)}; }
+inline D4 operator/(D4 a, D4 b)
+{ return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)}; }
+inline D4 operator-(D4 a) { return {vnegq_f64(a.lo), vnegq_f64(a.hi)}; }
 
 #else    // CLM_SIMD_ISA_SCALAR
 
@@ -497,6 +664,127 @@ operator/(F8 a, F8 b)
     F8 r;
     for (int l = 0; l < 8; ++l)
         r.v[l] = a.v[l] / b.v[l];
+    return r;
+}
+
+struct D4
+{
+    double v[4];
+
+    static D4 broadcast(double x)
+    {
+        D4 r;
+        for (int l = 0; l < 4; ++l)
+            r.v[l] = x;
+        return r;
+    }
+    static D4 load(const double *p)
+    {
+        D4 r;
+        for (int l = 0; l < 4; ++l)
+            r.v[l] = p[l];
+        return r;
+    }
+    void store(double *p) const
+    {
+        for (int l = 0; l < 4; ++l)
+            p[l] = v[l];
+    }
+
+    static uint64_t bits(double x)
+    {
+        uint64_t u;
+        std::memcpy(&u, &x, sizeof(u));
+        return u;
+    }
+    static double fromBits(uint64_t u)
+    {
+        double x;
+        std::memcpy(&x, &u, sizeof(x));
+        return x;
+    }
+
+    static D4 lt(D4 a, D4 b)
+    {
+        D4 r;
+        for (int l = 0; l < 4; ++l)
+            r.v[l] = fromBits(a.v[l] < b.v[l] ? ~uint64_t{0} : 0u);
+        return r;
+    }
+    static D4 gt(D4 a, D4 b)
+    {
+        D4 r;
+        for (int l = 0; l < 4; ++l)
+            r.v[l] = fromBits(a.v[l] > b.v[l] ? ~uint64_t{0} : 0u);
+        return r;
+    }
+    static D4 bitAnd(D4 a, D4 b)
+    {
+        D4 r;
+        for (int l = 0; l < 4; ++l)
+            r.v[l] = fromBits(bits(a.v[l]) & bits(b.v[l]));
+        return r;
+    }
+    static D4 bitOr(D4 a, D4 b)
+    {
+        D4 r;
+        for (int l = 0; l < 4; ++l)
+            r.v[l] = fromBits(bits(a.v[l]) | bits(b.v[l]));
+        return r;
+    }
+
+    static D4 loadFloat3(const float *p)
+    {
+        D4 r;
+        for (int l = 0; l < 4; ++l)
+            r.v[l] = p[3 * l];
+        return r;
+    }
+    void storeFloat3(float *p) const
+    {
+        for (int l = 0; l < 4; ++l)
+            p[3 * l] = static_cast<float>(v[l]);
+    }
+};
+
+inline D4
+operator+(D4 a, D4 b)
+{
+    D4 r;
+    for (int l = 0; l < 4; ++l)
+        r.v[l] = a.v[l] + b.v[l];
+    return r;
+}
+inline D4
+operator-(D4 a, D4 b)
+{
+    D4 r;
+    for (int l = 0; l < 4; ++l)
+        r.v[l] = a.v[l] - b.v[l];
+    return r;
+}
+inline D4
+operator*(D4 a, D4 b)
+{
+    D4 r;
+    for (int l = 0; l < 4; ++l)
+        r.v[l] = a.v[l] * b.v[l];
+    return r;
+}
+inline D4
+operator/(D4 a, D4 b)
+{
+    D4 r;
+    for (int l = 0; l < 4; ++l)
+        r.v[l] = a.v[l] / b.v[l];
+    return r;
+}
+inline D4
+operator-(D4 a)
+{
+    D4 r;
+    for (int l = 0; l < 4; ++l)
+        r.v[l] = -a.v[l];
     return r;
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "render/simd_kernels.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -38,223 +39,21 @@ struct ChunkPlan
     }
 };
 
-/** Run @p body(chunk_index) over the plan, across the pool or serially
- *  in chunk order — the split itself never changes. */
+/** Run @p body(i) for every i in [0, n), across the pool or serially in
+ *  order — the work items themselves never change. */
 template <typename Body>
 void
-runChunks(const ChunkPlan &plan, bool parallel, const Body &body)
+runEach(size_t n, bool parallel, const Body &body)
 {
-    if (parallel && plan.n_chunks > 1) {
-        ThreadPool::global().parallelFor(
-            plan.n_chunks, [&](size_t begin, size_t end) {
-                for (size_t c = begin; c < end; ++c)
-                    body(c);
-            });
+    if (parallel && n > 1) {
+        ThreadPool::global().parallelFor(n, [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i)
+                body(i);
+        });
     } else {
-        for (size_t c = 0; c < plan.n_chunks; ++c)
-            body(c);
+        for (size_t i = 0; i < n; ++i)
+            body(i);
     }
-}
-
-/**
- * Column-prefix pass of a SAT whose rows already hold row prefixes:
- * row y += row y-1 walking down, split into flat column slices (each
- * slice sees the same serial y-order, so any split is deterministic).
- * Row 0 is the zero guard row; row 1 needs no add.
- */
-void
-satColumnPrefix(std::vector<double> &sat, size_t row_w, int h,
-                bool parallel)
-{
-    const ChunkPlan cols = ChunkPlan::forRows(row_w);
-    runChunks(cols, parallel, [&](size_t c) {
-        const size_t i0 = c * cols.per_chunk;
-        const size_t i1 = std::min<size_t>(i0 + cols.per_chunk, row_w);
-        for (int y = 2; y <= h; ++y) {
-            double *cur = &sat[static_cast<size_t>(y) * row_w];
-            const double *prev =
-                &sat[static_cast<size_t>(y - 1) * row_w];
-            for (size_t i = i0; i < i1; ++i)
-                cur[i] += prev[i];
-        }
-    });
-}
-
-/**
- * Build a summed-area table over a per-pixel @p values image of
- * @p stride doubles per pixel (fused fields): row-prefix pass (rows are
- * independent) followed by the column-prefix pass, both tiled over the
- * pool. @p sat is laid out (h+1) x (w+1) x stride with a zero guard
- * row/column, so any clamped box sum is four corner lookups.
- */
-void
-buildSat(const double *values, int w, int h, int stride, bool parallel,
-         std::vector<double> &sat)
-{
-    const size_t row_w = static_cast<size_t>(w + 1) * stride;
-    sat.resize(row_w * (h + 1));
-    std::memset(sat.data(), 0, row_w * sizeof(double));    // guard row
-
-    const ChunkPlan rows = ChunkPlan::forRows(h);
-    runChunks(rows, parallel, [&](size_t c) {
-        const size_t y0 = c * rows.per_chunk;
-        const size_t y1 = std::min<size_t>(y0 + rows.per_chunk, h);
-        std::vector<double> run(stride);
-        for (size_t y = y0; y < y1; ++y) {
-            std::fill(run.begin(), run.end(), 0.0);
-            double *dst = &sat[(y + 1) * row_w];
-            std::memset(dst, 0, stride * sizeof(double));    // guard col
-            const double *src =
-                values + y * static_cast<size_t>(w) * stride;
-            for (int x = 0; x < w; ++x) {
-                for (int k = 0; k < stride; ++k)
-                    run[k] += src[static_cast<size_t>(x) * stride + k];
-                std::memcpy(dst + (static_cast<size_t>(x) + 1) * stride,
-                            run.data(), stride * sizeof(double));
-            }
-        }
-    });
-    satColumnPrefix(sat, row_w, h, parallel);
-}
-
-// Fused-channel layouts.
-constexpr int kStats = 5;                  // sx, sy, sxx, syy, sxy
-constexpr int kSatStride = 3 * kStats;     // all 3 channels in one pass
-constexpr int kFieldStride = 3 * 3;        // A, B, C per channel
-
-/**
- * SSIM statistics pass: build the fused 15-field SAT of (x, y, x^2,
- * y^2, x*y) for all channels, then evaluate every center's window
- * statistics in O(1). Returns the ssim sum over all pixels and
- * channels (chunk partials reduced in chunk order). When @p field is
- * non-null, also writes the three backward coefficient fields per
- * channel:
- *
- *   A = (1/N) * (d_mu - 2*d_var*mu_x - d_cov*mu_y)
- *   B = (1/N) * d_var        (coefficient of 2*x(q))
- *   C = (1/N) * d_cov        (coefficient of y(q))
- *
- * so dL_ssim/dx(q) reduces to a clamped box sum of (A, B, C) around q
- * — the set of centers whose clamped window covers q is exactly the
- * clamped window around q, border pixels included.
- */
-double
-ssimStatsPass(const Image &x_img, const Image &y_img, const LossConfig &cfg,
-              LossScratch &scratch, double *field)
-{
-    const int w = x_img.width();
-    const int h = x_img.height();
-    const int r = cfg.ssim_window / 2;
-    const std::vector<float> &xd = x_img.data();
-    const std::vector<float> &yd = y_img.data();
-
-    // Pass 1: per-pixel moments, fused across channels, straight into
-    // the SAT fill (no intermediate moment image: the row-prefix run
-    // accumulates the moments as it walks the row).
-    const size_t row_w = static_cast<size_t>(w + 1) * kSatStride;
-    std::vector<double> &sat = scratch.sat;
-    sat.resize(row_w * (h + 1));
-    std::memset(sat.data(), 0, row_w * sizeof(double));
-
-    const ChunkPlan rows = ChunkPlan::forRows(h);
-    runChunks(rows, cfg.parallel, [&](size_t c) {
-        const size_t y0 = c * rows.per_chunk;
-        const size_t y1 = std::min<size_t>(y0 + rows.per_chunk, h);
-        for (size_t y = y0; y < y1; ++y) {
-            double run[kSatStride] = {};
-            double *dst = &sat[(y + 1) * row_w];
-            std::memset(dst, 0, kSatStride * sizeof(double));
-            const float *xp = &xd[y * static_cast<size_t>(w) * 3];
-            const float *yp = &yd[y * static_cast<size_t>(w) * 3];
-            for (int x = 0; x < w; ++x) {
-                for (int ch = 0; ch < 3; ++ch) {
-                    const double xv = xp[x * 3 + ch];
-                    const double yv = yp[x * 3 + ch];
-                    double *m = run + ch * kStats;
-                    m[0] += xv;
-                    m[1] += yv;
-                    m[2] += xv * xv;
-                    m[3] += yv * yv;
-                    m[4] += xv * yv;
-                }
-                std::memcpy(
-                    dst + (static_cast<size_t>(x) + 1) * kSatStride, run,
-                    sizeof(run));
-            }
-        }
-    });
-    satColumnPrefix(sat, row_w, h, cfg.parallel);
-
-    // Pass 2: O(1) window statistics per center.
-    std::vector<double> partials(rows.n_chunks, 0.0);
-    runChunks(rows, cfg.parallel, [&](size_t c) {
-        const size_t py0c = c * rows.per_chunk;
-        const size_t py1c = std::min<size_t>(py0c + rows.per_chunk, h);
-        double local = 0.0;
-        for (size_t py = py0c; py < py1c; ++py) {
-            const int y0 = std::max<int>(static_cast<int>(py) - r, 0);
-            const int y1 =
-                std::min<int>(static_cast<int>(py) + r, h - 1);
-            const double *top = &sat[static_cast<size_t>(y0) * row_w];
-            const double *bot =
-                &sat[static_cast<size_t>(y1 + 1) * row_w];
-            for (int px = 0; px < w; ++px) {
-                const int x0 = std::max(px - r, 0);
-                const int x1 = std::min(px + r, w - 1);
-                const double inv = 1.0 / ((x1 - x0 + 1) * (y1 - y0 + 1));
-                const double *c00 =
-                    top + static_cast<size_t>(x0) * kSatStride;
-                const double *c01 =
-                    top + static_cast<size_t>(x1 + 1) * kSatStride;
-                const double *c10 =
-                    bot + static_cast<size_t>(x0) * kSatStride;
-                const double *c11 =
-                    bot + static_cast<size_t>(x1 + 1) * kSatStride;
-                const size_t pi = py * static_cast<size_t>(w) + px;
-                for (int ch = 0; ch < 3; ++ch) {
-                    const int b = ch * kStats;
-                    const double sx =
-                        c11[b] - c01[b] - c10[b] + c00[b];
-                    const double sy = c11[b + 1] - c01[b + 1]
-                                    - c10[b + 1] + c00[b + 1];
-                    const double sxx = c11[b + 2] - c01[b + 2]
-                                     - c10[b + 2] + c00[b + 2];
-                    const double syy = c11[b + 3] - c01[b + 3]
-                                     - c10[b + 3] + c00[b + 3];
-                    const double sxy = c11[b + 4] - c01[b + 4]
-                                     - c10[b + 4] + c00[b + 4];
-                    const double mx = sx * inv, my = sy * inv;
-                    const double vx = sxx * inv - mx * mx;
-                    const double vy = syy * inv - my * my;
-                    const double cxy = sxy * inv - mx * my;
-
-                    const double u = 2.0 * mx * my + cfg.ssim_c1;
-                    const double v = 2.0 * cxy + cfg.ssim_c2;
-                    const double s = mx * mx + my * my + cfg.ssim_c1;
-                    const double t = vx + vy + cfg.ssim_c2;
-                    local += (u * v) / (s * t);
-
-                    if (field) {
-                        const double d_mu =
-                            2.0 * my * v / (s * t)
-                            - (u * v) * 2.0 * mx / (s * s * t);
-                        const double d_var = -(u * v) / (s * t * t);
-                        const double d_cov = 2.0 * u / (s * t);
-                        double *f = field + pi * kFieldStride + ch * 3;
-                        f[0] = inv
-                             * (d_mu - 2.0 * d_var * mx - d_cov * my);
-                        f[1] = inv * d_var;
-                        f[2] = inv * d_cov;
-                    }
-                }
-            }
-        }
-        partials[c] = local;
-    });
-    double ssim_sum = 0.0;
-    for (double p : partials)
-        ssim_sum += p;
-    return ssim_sum;
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +143,321 @@ ssimChannel(const Image &x_img, const Image &y_img, int ch,
     return f;
 }
 
+// ---------------------------------------------------------------------------
+// Column strips
+// ---------------------------------------------------------------------------
+
+/** Narrowest strip worth its own task: every strip re-folds the 2r
+ *  halo columns its border windows reach into. */
+constexpr int kMinStripWidth = 32;
+
+/**
+ * Column-strip partition of the image. Strip k owns the centers
+ * [x0(k), x1(k)) and needs the SAT columns [xa(k), xb(k)] their clamped
+ * windows touch. The partition only schedules work: every SAT entry is
+ * the same fold whatever the split, so the result never depends on it.
+ */
+struct StripPlan
+{
+    int n = 1;       //!< Strip count.
+    int per = 0;     //!< Centers per strip (the last may have fewer).
+    int w = 0;
+    int r = 0;
+    int span = 0;    //!< Doubles per SAT field plane, >= xb - xa + 1.
+
+    static StripPlan make(int w, int r, bool parallel)
+    {
+        StripPlan p;
+        p.w = w;
+        p.r = r;
+        int want = 1;
+        if (parallel)
+            want = std::max(1, std::min<int>(ThreadPool::global().threads(),
+                                             w / kMinStripWidth));
+        p.per = std::max(1, (w + want - 1) / want);    // w may be 0
+        p.n = (w + p.per - 1) / p.per;
+        p.span = p.per + 2 * r + 1;
+        return p;
+    }
+
+    int x0(int k) const { return std::min(k * per, w); }
+    int x1(int k) const { return std::min(x0(k) + per, w); }
+    int xa(int k) const { return std::max(x0(k) - r, 0); }
+    int xb(int k) const { return std::min(x1(k) + r, w); }
+};
+
+/**
+ * SAT inputs of the statistics pass: (x, y, x^2, y^2, x*y) per channel,
+ * plane ch * kSsimStats + k.
+ *
+ * fold() advances the row-prefix fold of image row @p y over columns
+ * [x0, x1) from @p run (updated in place). With kStore it writes the
+ * running values of column x to out[f * plane + x - x0], plus the
+ * previous SAT row's prev[f * plane + x - x0] with kPrev — a SAT row is
+ * its row prefix plus the row above, the column-prefix add fused into
+ * the fold. Each channel's five sums fold in registers.
+ */
+struct StatFields
+{
+    static constexpr int kCount = kSsimStatFields;
+    const float *x, *y;
+    int w;
+
+    template <bool kStore, bool kPrev>
+    void fold(int row, int x0, int x1, double *run, double *out,
+              const double *prev, size_t plane) const
+    {
+        const size_t at = static_cast<size_t>(row) * w * 3;
+        for (int ch = 0; ch < 3; ++ch) {
+            const float *xr = x + at + ch;
+            const float *yr = y + at + ch;
+            double *r = run + ch * kSsimStats;
+            double sx = r[0], sy = r[1], sxx = r[2], syy = r[3], sxy = r[4];
+            const size_t f0 = static_cast<size_t>(ch * kSsimStats) * plane;
+            double *o = kStore ? out + f0 : nullptr;
+            const double *p = kPrev ? prev + f0 : nullptr;
+            for (int px = x0; px < x1; ++px) {
+                const double xv = xr[px * 3];
+                const double yv = yr[px * 3];
+                sx += xv;
+                sy += yv;
+                sxx += xv * xv;
+                syy += yv * yv;
+                sxy += xv * yv;
+                if (kStore) {
+                    const size_t i = px - x0;
+                    o[i] = kPrev ? sx + p[i] : sx;
+                    o[plane + i] = kPrev ? sy + p[plane + i] : sy;
+                    o[2 * plane + i] = kPrev ? sxx + p[2 * plane + i] : sxx;
+                    o[3 * plane + i] = kPrev ? syy + p[3 * plane + i] : syy;
+                    o[4 * plane + i] = kPrev ? sxy + p[4 * plane + i] : sxy;
+                }
+            }
+            r[0] = sx;
+            r[1] = sy;
+            r[2] = sxx;
+            r[3] = syy;
+            r[4] = sxy;
+        }
+    }
+};
+
+/** SAT inputs of the scatter pass: the planar coefficient image the
+ *  statistics pass wrote. fold() as for StatFields, one channel's A, B
+ *  and C per loop. */
+struct CoeffFields
+{
+    static constexpr int kCount = kSsimCoeffFields;
+    const double *coeff;
+    int w;
+    size_t pixels;    //!< Coefficient plane stride.
+
+    template <bool kStore, bool kPrev>
+    void fold(int row, int x0, int x1, double *run, double *out,
+              const double *prev, size_t plane) const
+    {
+        const size_t at = static_cast<size_t>(row) * w;
+        for (int ch = 0; ch < 3; ++ch) {
+            const double *ca = coeff + ch * kSsimCoeffs * pixels + at;
+            const double *cb = ca + pixels;
+            const double *cc = cb + pixels;
+            double *r = run + ch * kSsimCoeffs;
+            double sa = r[0], sb = r[1], sc = r[2];
+            const size_t f0 = static_cast<size_t>(ch * kSsimCoeffs) * plane;
+            double *o = kStore ? out + f0 : nullptr;
+            const double *p = kPrev ? prev + f0 : nullptr;
+            for (int px = x0; px < x1; ++px) {
+                sa += ca[px];
+                sb += cb[px];
+                sc += cc[px];
+                if (kStore) {
+                    const size_t i = px - x0;
+                    o[i] = kPrev ? sa + p[i] : sa;
+                    o[plane + i] = kPrev ? sb + p[plane + i] : sb;
+                    o[2 * plane + i] = kPrev ? sc + p[2 * plane + i] : sc;
+                }
+            }
+            r[0] = sa;
+            r[1] = sb;
+            r[2] = sc;
+        }
+    }
+};
+
+/**
+ * Row-prefix carries of rows [y0, y1): for each strip k >= 1, the
+ * left-to-right fold (from +0.0) of the row's fields over the columns
+ * left of xa(k) — exactly the value the full-row fold of a SAT holds at
+ * that column, so a strip resuming from it rebuilds the SAT bit for bit.
+ * Layout: carry[(y * n + k) * kCount + f].
+ */
+template <typename Fields>
+void
+foldCarries(const StripPlan &sp, const Fields &fields, size_t y0,
+            size_t y1, double *carry)
+{
+    constexpr int nf = Fields::kCount;
+    for (size_t y = y0; y < y1; ++y) {
+        double run[nf] = {};
+        int x = 0;
+        for (int k = 1; k < sp.n; ++k) {
+            const int xa = sp.xa(k);
+            fields.template fold<false, false>(static_cast<int>(y), x, xa,
+                                               run, nullptr, nullptr, 0);
+            x = xa;
+            std::memcpy(carry + (y * sp.n + k) * nf, run, sizeof(run));
+        }
+    }
+}
+
+/**
+ * Stream strip @p k's SAT rows top to bottom through @p ring (2r+2 rows
+ * of Fields::kCount planes of sp.span doubles) and hand each center row
+ * py its window's top (y0) and bottom (y1 + 1) SAT rows:
+ * @p row(py, top, bot, rows). SAT row Y is the row-prefix fold of image
+ * row Y-1 resumed from its carry, plus SAT row Y-1 — the same IEEE ops
+ * in the same order as a full-image summed-area table. @p carry is null
+ * for strip 0 (its fold starts at column 0 from +0.0).
+ */
+template <typename Fields, typename Row>
+void
+streamStrip(const StripPlan &sp, int k, int h, const Fields &fields,
+            const double *carry, double *ring, const Row &row)
+{
+    constexpr int nf = Fields::kCount;
+    const int slots = 2 * sp.r + 2;
+    const size_t plane = static_cast<size_t>(sp.span);
+    const size_t slot_size = nf * plane;
+    const int xa = sp.xa(k);
+    const int xb = sp.xb(k);
+    auto slot = [&](int Y) { return ring + (Y % slots) * slot_size; };
+
+    for (int f = 0; f < nf; ++f)    // SAT row 0: the zero guard row
+        std::fill_n(slot(0) + f * plane, xb - xa + 1, 0.0);
+
+    int produced = 0;
+    for (int py = 0; py < h; ++py) {
+        const int y0 = std::max(py - sp.r, 0);
+        const int y1 = std::min(py + sp.r, h - 1);
+        while (produced <= y1) {
+            ++produced;
+            const int y = produced - 1;
+            double *dst = slot(produced);
+            double run[nf] = {};
+            if (carry)
+                std::memcpy(run, carry + (static_cast<size_t>(y) * sp.n + k)
+                                             * nf,
+                            sizeof(run));
+            // Column xa holds the carry itself; SAT row 1 is the bare
+            // row prefix, later rows add the row above.
+            if (produced == 1) {
+                for (int f = 0; f < nf; ++f)
+                    dst[f * plane] = run[f];
+                fields.template fold<true, false>(y, xa, xb, run, dst + 1,
+                                                  nullptr, plane);
+            } else {
+                const double *prev = slot(produced - 1);
+                for (int f = 0; f < nf; ++f)
+                    dst[f * plane] = run[f] + prev[f * plane];
+                fields.template fold<true, true>(y, xa, xb, run, dst + 1,
+                                                 prev + 1, plane);
+            }
+        }
+        row(py, slot(y0), slot(y1 + 1), y1 - y0 + 1);
+    }
+}
+
+/**
+ * Forward statistics for every center: strip-parallel SAT streaming
+ * into the kernel table's row kernel, then one row-chunked pass that
+ * reduces the SSIM sum in one fixed order — per chunk of
+ * ChunkPlan::forRows(h) rows over (py, px, channel), chunk partials
+ * summed in chunk order — and, when @p coeff is wanted, folds the
+ * coefficient carries of the backward strips. Returns the SSIM sum.
+ */
+double
+ssimForward(const Image &x_img, const Image &y_img, const LossConfig &cfg,
+            const StripPlan &sp, LossScratch &scratch, bool want_coeff)
+{
+    const int w = x_img.width();
+    const int h = x_img.height();
+    const size_t pixels = static_cast<size_t>(w) * h;
+    const RenderKernels &kernels = renderKernels();
+    const StatFields stats{x_img.data().data(), y_img.data().data(), w};
+    const size_t ring_size = static_cast<size_t>(2 * sp.r + 2)
+                           * kSsimStatFields * sp.span;
+    const size_t carry_size = static_cast<size_t>(h) * sp.n
+                            * kSsimStatFields;
+
+    scratch.ssim.resize(3 * pixels);
+    scratch.coeff.resize(want_coeff ? kSsimCoeffFields * pixels : 0);
+    scratch.ring.resize(sp.n * ring_size);
+    scratch.carry.resize(sp.n > 1 ? carry_size : 0);
+
+    const ChunkPlan rows = ChunkPlan::forRows(h);
+    if (sp.n > 1)
+        runEach(rows.n_chunks, cfg.parallel, [&](size_t c) {
+            const size_t y0 = c * rows.per_chunk;
+            foldCarries(sp, stats, y0,
+                        std::min<size_t>(y0 + rows.per_chunk, h),
+                        scratch.carry.data());
+        });
+
+    SsimStatsRowArgs args{};
+    args.plane = static_cast<size_t>(sp.span);
+    args.width = w;
+    args.radius = sp.r;
+    args.c1 = cfg.ssim_c1;
+    args.c2 = cfg.ssim_c2;
+    args.out_plane = pixels;
+    runEach(sp.n, cfg.parallel, [&](size_t strip) {
+        const int k = static_cast<int>(strip);
+        SsimStatsRowArgs a = args;
+        a.xa = sp.xa(k);
+        a.px0 = sp.x0(k);
+        a.px1 = sp.x1(k);
+        streamStrip(sp, k, h, stats,
+                    k > 0 ? scratch.carry.data() : nullptr,
+                    scratch.ring.data() + k * ring_size,
+                    [&](int py, const double *top, const double *bot,
+                        int n_rows) {
+                        const size_t row0 = static_cast<size_t>(py) * w;
+                        a.top = top;
+                        a.bot = bot;
+                        a.rows = n_rows;
+                        a.ssim = scratch.ssim.data() + row0;
+                        a.coeff = want_coeff
+                                      ? scratch.coeff.data() + row0
+                                      : nullptr;
+                        kernels.ssim_stats_row(a);
+                    });
+    });
+
+    const CoeffFields coeff{scratch.coeff.data(), w, pixels};
+    std::vector<double> partials(rows.n_chunks, 0.0);
+    runEach(rows.n_chunks, cfg.parallel, [&](size_t c) {
+        const size_t y0 = c * rows.per_chunk;
+        const size_t y1 = std::min<size_t>(y0 + rows.per_chunk, h);
+        const double *s = scratch.ssim.data();
+        double local = 0.0;
+        for (size_t i = y0 * w; i < y1 * w; ++i)
+            for (int ch = 0; ch < 3; ++ch)
+                local += s[ch * pixels + i];
+        partials[c] = local;
+        if (want_coeff && sp.n > 1)
+            foldCarries(sp, coeff, y0, y1, scratch.carry.data());
+    });
+    double ssim_sum = 0.0;
+    for (double p : partials)
+        ssim_sum += p;
+    return ssim_sum;
+}
+
 } // namespace
+
+// ---------------------------------------------------------------------------
+// Strip-streamed loss
+// ---------------------------------------------------------------------------
 
 LossResult
 computeLoss(const Image &rendered, const Image &gt, Image *d_rendered,
@@ -367,26 +480,17 @@ computeLoss(const Image &rendered, const Image &gt, Image *d_rendered,
     const int w = rendered.width();
     const int h = rendered.height();
     const size_t pixels = rendered.pixels();
-    const size_t total_vals = rendered.data().size();
     const double lam = cfg.lambda_dssim;
-    const int r = cfg.ssim_window / 2;
+    const StripPlan sp = StripPlan::make(w, cfg.ssim_window / 2,
+                                         cfg.parallel);
 
     Timer timer;
 
     LossResult result;
     result.l1 = rendered.l1(gt);
-
-    // Forward SSIM statistics (+ the backward coefficient fields when
-    // gradients are wanted).
-    double *field = nullptr;
-    if (d_rendered) {
-        scratch.field.resize(pixels * kFieldStride);
-        field = scratch.field.data();
-    }
     const double ssim_sum =
-        ssimStatsPass(rendered, gt, cfg, scratch, field);
-    const double mean_ssim = ssim_sum / (3.0 * pixels);
-    result.dssim = 1.0 - mean_ssim;
+        ssimForward(rendered, gt, cfg, sp, scratch, d_rendered != nullptr);
+    result.dssim = 1.0 - ssim_sum / (3.0 * pixels);
     result.total = (1.0 - lam) * result.l1 + lam * result.dssim;
     if (times)
         times->forward_s = timer.seconds();
@@ -394,63 +498,38 @@ computeLoss(const Image &rendered, const Image &gt, Image *d_rendered,
         return result;
     timer.reset();
 
-    // Backward: SAT the coefficient fields, then one fused scatter pass
-    // writing dL/dx(q) = L1 sign term + ssim_scale * (S_A + 2 x(q) S_B
-    // + y(q) S_C) — every output value written exactly once, so the
-    // pass parallelizes over disjoint rows.
-    buildSat(field, w, h, kFieldStride, cfg.parallel, scratch.field_sat);
-    const std::vector<double> &fsat = scratch.field_sat;
-    const size_t frow_w = static_cast<size_t>(w + 1) * kFieldStride;
-
+    // Backward: stream the coefficient SAT strip by strip; each output
+    // value is written exactly once, by the strip owning its column.
     d_rendered->resetUnfilled(w, h);
-    std::vector<float> &dd = d_rendered->data();
-    const std::vector<float> &xd = rendered.data();
-    const std::vector<float> &yd = gt.data();
-    const double l1_scale = (1.0 - lam) / total_vals;
-    const double ssim_scale = -lam / (3.0 * pixels);
-
-    const ChunkPlan rows = ChunkPlan::forRows(h);
-    runChunks(rows, cfg.parallel, [&](size_t c) {
-        const size_t qy0c = c * rows.per_chunk;
-        const size_t qy1c = std::min<size_t>(qy0c + rows.per_chunk, h);
-        for (size_t qy = qy0c; qy < qy1c; ++qy) {
-            const int y0 = std::max<int>(static_cast<int>(qy) - r, 0);
-            const int y1 =
-                std::min<int>(static_cast<int>(qy) + r, h - 1);
-            const double *top = &fsat[static_cast<size_t>(y0) * frow_w];
-            const double *bot =
-                &fsat[static_cast<size_t>(y1 + 1) * frow_w];
-            for (int qx = 0; qx < w; ++qx) {
-                const int x0 = std::max(qx - r, 0);
-                const int x1 = std::min(qx + r, w - 1);
-                const double *c00 =
-                    top + static_cast<size_t>(x0) * kFieldStride;
-                const double *c01 =
-                    top + static_cast<size_t>(x1 + 1) * kFieldStride;
-                const double *c10 =
-                    bot + static_cast<size_t>(x0) * kFieldStride;
-                const double *c11 =
-                    bot + static_cast<size_t>(x1 + 1) * kFieldStride;
-                const size_t qi = qy * static_cast<size_t>(w) + qx;
-                for (int ch = 0; ch < 3; ++ch) {
-                    const int b = ch * 3;
-                    const double sa =
-                        c11[b] - c01[b] - c10[b] + c00[b];
-                    const double sb = c11[b + 1] - c01[b + 1]
-                                    - c10[b + 1] + c00[b + 1];
-                    const double sc = c11[b + 2] - c01[b + 2]
-                                    - c10[b + 2] + c00[b + 2];
-                    const double xq = xd[qi * 3 + ch];
-                    const double yq = yd[qi * 3 + ch];
-                    const double acc = sa + 2.0 * xq * sb + yq * sc;
-                    const double diff = xq - yq;
-                    const double sign =
-                        diff > 0 ? 1.0 : (diff < 0 ? -1.0 : 0.0);
-                    dd[qi * 3 + ch] = static_cast<float>(
-                        l1_scale * sign + ssim_scale * acc);
-                }
-            }
-        }
+    const RenderKernels &kernels = renderKernels();
+    const CoeffFields coeff{scratch.coeff.data(), w, pixels};
+    const size_t ring_size = static_cast<size_t>(2 * sp.r + 2)
+                           * kSsimCoeffFields * sp.span;
+    SsimScatterRowArgs args{};
+    args.plane = static_cast<size_t>(sp.span);
+    args.width = w;
+    args.radius = sp.r;
+    args.l1_scale = (1.0 - lam) / rendered.data().size();
+    args.ssim_scale = -lam / (3.0 * pixels);
+    runEach(sp.n, cfg.parallel, [&](size_t strip) {
+        const int k = static_cast<int>(strip);
+        SsimScatterRowArgs a = args;
+        a.xa = sp.xa(k);
+        a.qx0 = sp.x0(k);
+        a.qx1 = sp.x1(k);
+        streamStrip(sp, k, h, coeff,
+                    k > 0 ? scratch.carry.data() : nullptr,
+                    scratch.ring.data() + k * ring_size,
+                    [&](int qy, const double *top, const double *bot,
+                        int) {
+                        const size_t at = static_cast<size_t>(qy) * w * 3;
+                        a.top = top;
+                        a.bot = bot;
+                        a.x = rendered.data().data() + at;
+                        a.y = gt.data().data() + at;
+                        a.d = d_rendered->data().data() + at;
+                        kernels.ssim_scatter_row(a);
+                    });
     });
     if (times)
         times->backward_s = timer.seconds();
@@ -551,9 +630,11 @@ meanSsim(const Image &a, const Image &b, const LossConfig &cfg)
 {
     CLM_ASSERT(a.width() == b.width() && a.height() == b.height(),
                "image size mismatch");
+    CLM_ASSERT(cfg.ssim_window % 2 == 1, "ssim window must be odd");
     LossScratch scratch;
-    const double ssim_sum = ssimStatsPass(a, b, cfg, scratch, nullptr);
-    return ssim_sum / (3.0 * a.pixels());
+    const StripPlan sp =
+        StripPlan::make(a.width(), cfg.ssim_window / 2, cfg.parallel);
+    return ssimForward(a, b, cfg, sp, scratch, false) / (3.0 * a.pixels());
 }
 
 } // namespace clm

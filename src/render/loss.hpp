@@ -3,20 +3,45 @@
  * Training loss: (1 - lambda) * L1 + lambda * D-SSIM, the reference 3DGS
  * objective, with an exact analytic backward pass into dL/d(rendered).
  *
- * The SSIM statistics (box window, clamped borders) are computed from
- * summed-area tables: five integral images (x, y, x^2, y^2, x*y) fused
- * across the three channels give every center's window statistics in
- * O(1), and the backward scatter collapses to three more integral
- * images of the per-center gradient coefficient fields — so the whole
- * loss is O(w*h) forward and backward instead of the brute-force
- * O(w*h*window^2). Both directions tile across the global ThreadPool
- * with a fixed chunk partition and an in-order partial reduction (the
- * backward-rasterizer determinism recipe): parallel runs are bitwise
- * identical to serial runs on the same machine.
+ * The SSIM statistics (box window, clamped borders) come from summed-
+ * area tables (SATs), so the loss is O(w*h) forward and backward instead
+ * of the brute-force O(w*h*window^2): five SAT fields per channel
+ * (x, y, x^2, y^2, x*y) give every center's window statistics in O(1),
+ * and the backward scatter collapses to box sums over a SAT of three
+ * per-center coefficient fields per channel.
  *
- * The pre-SAT brute-force implementation is retained as
- * computeLossReference() — the ground truth for tests and the speedup
- * baseline for bench/micro_train_step.
+ * No SAT is ever stored whole. The image is cut into column strips
+ * (about one per pool thread, at least 32 columns wide), and each strip
+ * streams its SAT rows top to bottom through a ring of 2r+2 rows (r =
+ * window / 2) of planar fields, so the working set stays in cache and
+ * the row kernels of the runtime-dispatched RenderKernels table
+ * (render/simd_kernels.hpp) evaluate four centers per op. A strip's
+ * row-prefix fold resumes from a per-row carry — the value the full-row
+ * fold holds at the strip's first SAT column — which a row-parallel
+ * pass computes first. Every SAT entry, statistic, coefficient and
+ * output value is therefore the same IEEE double expression, evaluated
+ * in the same order, as in one full-image table: the strip and thread
+ * counts and the kernel table never change a bit of the gradient.
+ *
+ * One call runs four pool passes: row carries of the statistics, the
+ * statistics strips (SSIM per center, and the coefficient image when
+ * gradients are wanted), one row-chunked pass that sums the SSIM in a
+ * fixed order and folds the coefficient carries, and the scatter
+ * strips. The SSIM sum reduces per chunk of rows (min(h, 2 * pool
+ * threads) chunks) in row-major order with the partials summed in chunk
+ * order, so parallel runs equal serial runs bit for bit; machines with
+ * different pool sizes may differ in the last bits of dssim, exactly
+ * like the backward rasterizer.
+ *
+ * Scratch: 12 doubles per pixel with gradients (3 SSIM planes, 9
+ * coefficient planes; 3 without), plus one ring per strip of
+ * (2r+2) x 15 x (strip width + 2r + 1) doubles and 15 carry doubles per
+ * row and strip — about 4 MB at 256x144 with an 11-tap window and four
+ * strips, where three whole-image tables once took 9.8 MB.
+ *
+ * The brute-force implementation is retained as computeLossReference()
+ * — the ground truth for tests and the speedup baseline for
+ * bench/micro_train_step.
  */
 
 #ifndef CLM_RENDER_LOSS_HPP
@@ -35,12 +60,13 @@ struct LossConfig
     int ssim_window = 11;         //!< Box window edge (odd).
     float ssim_c1 = 0.01f * 0.01f;    //!< (k1 L)^2 with L = 1.
     float ssim_c2 = 0.03f * 0.03f;    //!< (k2 L)^2 with L = 1.
-    /** Tile the SAT passes across the global thread pool. The chunk
-     *  partition is derived from the pool size whether or not this is
-     *  set, so parallel and serial runs perform identical arithmetic
-     *  (bitwise-equal results on any one machine; machines with
-     *  different core counts may differ in the last bits of the
-     *  reduction, exactly like the backward rasterizer). */
+    /** Spread the loss's passes across the global thread pool. The
+     *  SSIM sum's chunk partition is derived from the pool size whether
+     *  or not this is set, so parallel and serial runs perform
+     *  identical arithmetic (bitwise-equal results on any one machine;
+     *  machines with different core counts may differ in the last bits
+     *  of dssim, exactly like the backward rasterizer). The gradient and
+     *  l1 never depend on the pool. */
     bool parallel = true;
 };
 
@@ -55,21 +81,21 @@ struct LossResult
 /** Wall-clock split of one computeLoss call (train-step bench). */
 struct LossStageTimes
 {
-    double forward_s = 0;     //!< L1 + SSIM statistics passes.
-    double backward_s = 0;    //!< Gradient field + scatter passes.
+    double forward_s = 0;     //!< L1, statistics and carry passes.
+    double backward_s = 0;    //!< Gradient scatter strips.
 };
 
 /**
- * Reusable scratch for the SAT loss. One per concurrently-evaluating
- * caller (a Trainer owns one); holds up to 33 doubles per pixel when
- * gradients are requested (15-field statistics SAT, 9-field coefficient
- * image, 9-field coefficient SAT), reused across calls.
+ * Reusable scratch for the loss. One per concurrently-evaluating caller
+ * (a Trainer owns one); sized as in the file comment, reused across
+ * calls.
  */
 struct LossScratch
 {
-    std::vector<double> sat;          //!< (w+1)*(h+1)*15 statistics SAT.
-    std::vector<double> field;        //!< w*h*9 gradient coefficients.
-    std::vector<double> field_sat;    //!< (w+1)*(h+1)*9 coefficient SAT.
+    std::vector<double> ssim;     //!< 3 planes of w*h per-center SSIM.
+    std::vector<double> coeff;    //!< 9 planes of w*h coefficients.
+    std::vector<double> carry;    //!< Row-prefix carries per row, strip.
+    std::vector<double> ring;     //!< One SAT row ring per strip.
 };
 
 /**
@@ -104,7 +130,8 @@ LossResult computeLossReference(const Image &rendered,
 
 /**
  * Mean SSIM between two images (box window, clamped borders). Forward
- * only, via the same SAT passes as computeLoss.
+ * only, via the same strip passes as computeLoss (equal to 1 - its
+ * dssim bit for bit).
  */
 double meanSsim(const Image &a, const Image &b, const LossConfig &config = {});
 

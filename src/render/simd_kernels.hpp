@@ -103,6 +103,61 @@ struct CullPrefilterArgs
     float *rejected;              //!< @p padded lanes of mask output.
 };
 
+/** SAT field counts of the SSIM loss rows. The statistics SAT holds
+ *  (x, y, x^2, y^2, x*y) of channel ch in planes ch*5 .. ch*5+4; the
+ *  coefficient SAT holds (A, B, C) of channel ch in planes ch*3 ..
+ *  ch*3+2. */
+enum : int
+{
+    kSsimStats = 5,                      //!< Statistics per channel.
+    kSsimStatFields = 3 * kSsimStats,
+    kSsimCoeffs = 3,                     //!< Coefficients per channel.
+    kSsimCoeffFields = 3 * kSsimCoeffs
+};
+
+/**
+ * One row of SSIM centers over a column strip (render/loss.cpp). The SAT
+ * rows are planar: field f of a row starts at row + f * plane, and SAT
+ * column X sits at index X - xa. Box sums take the four clamped corners
+ * ((c11 - c01) - c10) + c00 of the window around each center, so every
+ * center's statistics are the O(1) summed-area lookups of the loss.
+ */
+struct SsimStatsRowArgs
+{
+    const double *top;     //!< SAT row y0 (kSsimStatFields planes).
+    const double *bot;     //!< SAT row y1 + 1.
+    size_t plane;          //!< Doubles per SAT field plane.
+    int xa;                //!< SAT column of index 0.
+    int px0, px1;          //!< Centers [px0, px1) of this row.
+    int width;             //!< Image width.
+    int radius;            //!< Window half-width.
+    int rows;              //!< Window rows after clamping: y1 - y0 + 1.
+    double c1, c2;         //!< SSIM stabilizers.
+    /** Per-center SSIM, 3 channel planes of @p out_plane doubles,
+     *  indexed by px (the row's offset already applied). */
+    double *ssim;
+    /** Backward coefficients A, B, C per channel (kSsimCoeffFields
+     *  planes, plane ch*3 + k, same indexing), or nullptr. */
+    double *coeff;
+    size_t out_plane;
+};
+
+/** One row of the SSIM+L1 gradient scatter over a column strip: box
+ *  sums of the coefficient SAT (kSsimCoeffFields planes, same layout
+ *  as SsimStatsRowArgs) give dL/dx = l1_scale * sign(x - y) +
+ *  ssim_scale * (S_A + 2 x S_B + y S_C). */
+struct SsimScatterRowArgs
+{
+    const double *top, *bot;    //!< Coefficient SAT rows y0, y1 + 1.
+    size_t plane;
+    int xa;
+    int qx0, qx1;               //!< Pixels [qx0, qx1) of this row.
+    int width, radius;
+    const float *x, *y;         //!< The row, interleaved RGB.
+    float *d;                   //!< Output row, interleaved RGB.
+    double l1_scale, ssim_scale;
+};
+
 /** One backend's kernel table. */
 struct RenderKernels
 {
@@ -111,6 +166,8 @@ struct RenderKernels
     void (*composite_tile)(const CompositeTileArgs &);
     void (*backward_tile)(const BackwardTileArgs &);
     void (*cull_prefilter)(const CullPrefilterArgs &);
+    void (*ssim_stats_row)(const SsimStatsRowArgs &);
+    void (*ssim_scatter_row)(const SsimScatterRowArgs &);
 };
 
 /** The table of the startup dispatch choice (simdDispatchBackend()).

@@ -64,7 +64,9 @@ renderKernelsAvx2()
     static const RenderKernels table{SimdBackend::kAvx2, "avx2",
                                      &kernelCompositeTile,
                                      &kernelBackwardTile,
-                                     &kernelCullPrefilter};
+                                     &kernelCullPrefilter,
+                                     &kernelSsimStatsRow,
+                                     &kernelSsimScatterRow};
     return &table;
 }
 

@@ -28,7 +28,9 @@ renderKernelsNeon()
     static const RenderKernels table{SimdBackend::kNeon, "neon",
                                      &kernelCompositeTile,
                                      &kernelBackwardTile,
-                                     &kernelCullPrefilter};
+                                     &kernelCullPrefilter,
+                                     &kernelSsimStatsRow,
+                                     &kernelSsimScatterRow};
     return &table;
 }
 

@@ -27,7 +27,9 @@ renderKernelsScalar()
     static const RenderKernels table{SimdBackend::kScalar, "scalar",
                                      &kernelCompositeTile,
                                      &kernelBackwardTile,
-                                     &kernelCullPrefilter};
+                                     &kernelCullPrefilter,
+                                     &kernelSsimStatsRow,
+                                     &kernelSsimScatterRow};
     return &table;
 }
 

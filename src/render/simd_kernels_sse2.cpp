@@ -29,7 +29,9 @@ renderKernelsSse2()
     static const RenderKernels table{SimdBackend::kSse2, "sse2",
                                      &kernelCompositeTile,
                                      &kernelBackwardTile,
-                                     &kernelCullPrefilter};
+                                     &kernelCullPrefilter,
+                                     &kernelSsimStatsRow,
+                                     &kernelSsimScatterRow};
     return &table;
 }
 

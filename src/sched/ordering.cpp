@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <utility>
 
 #include "math/mat.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace clm {
 
@@ -31,6 +33,13 @@ allOrderingStrategies()
     return {OrderingStrategy::Random, OrderingStrategy::Camera,
             OrderingStrategy::GsCount, OrderingStrategy::Tsp};
 }
+
+namespace {
+
+/** Fewest view pairs worth forking the overlap-matrix fill for. */
+constexpr size_t kMinParallelPairs = 64;
+
+} // namespace
 
 size_t
 intersectionSize(const std::vector<uint32_t> &a,
@@ -61,11 +70,28 @@ symmetricDifferenceSize(const std::vector<uint32_t> &a,
 DistanceMatrix
 buildOverlapDistanceMatrix(const std::vector<std::vector<uint32_t>> &sets)
 {
-    DistanceMatrix d(sets.size());
-    for (size_t i = 0; i < sets.size(); ++i)
-        for (size_t j = i + 1; j < sets.size(); ++j)
-            d.set(i, j, static_cast<double>(
-                            symmetricDifferenceSize(sets[i], sets[j])));
+    // One sorted-set merge per pair, spread over the pool by pair (rows
+    // shrink toward the bottom of the triangle, so splitting by row
+    // would load the first chunk most). Each pair writes only its own
+    // two cells and the counts are integer-exact, so any split yields
+    // the same matrix.
+    const size_t n = sets.size();
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    pairs.reserve(n < 2 ? 0 : n * (n - 1) / 2);
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = i + 1; j < n; ++j)
+            pairs.emplace_back(static_cast<uint32_t>(i),
+                               static_cast<uint32_t>(j));
+    DistanceMatrix d(n);
+    poolForRange(pairs.size(), true, kMinParallelPairs,
+                 [&](size_t begin, size_t end) {
+                     for (size_t p = begin; p < end; ++p) {
+                         const auto [i, j] = pairs[p];
+                         d.set(i, j, static_cast<double>(
+                                         symmetricDifferenceSize(sets[i],
+                                                                 sets[j])));
+                     }
+                 });
     return d;
 }
 

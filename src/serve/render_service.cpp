@@ -367,6 +367,33 @@ RenderService::shardedWorkerLoop()
         uint64_t total_sum = 0;
         uint64_t union_shards = 0;
 
+        // The frame arrives by value: copy-constructing it into a fresh
+        // Image (rather than copy-assigning into the response's empty
+        // one) keeps GCC 12's -Wnonnull from flagging the inlined
+        // memmove into a null destination.
+        auto respond = [&](size_t v, Image image, double batch_t0,
+                           double render_s, size_t shards_selected) {
+            RenderResponse resp;
+            resp.image = std::move(image);
+            resp.request_id = batch[v].id;
+            resp.client_id = batch[v].client_id;
+            resp.snapshot_version = snap->base->version;
+            resp.snapshot_hash = snap->base->param_hash;
+            resp.train_step = snap->base->train_step;
+            resp.batch_size = static_cast<int>(n);
+            resp.queue_s = batch_t0 - batch[v].enqueue_s;
+            resp.render_s = render_s;
+            resp.shards_total = static_cast<int>(snap->shardCount());
+            resp.shards_selected = static_cast<int>(shards_selected);
+            selected_sum += shards_selected;
+            total_sum += snap->shardCount();
+            latencies[v] = clock_.seconds() - batch[v].enqueue_s;
+            m_queue_wait_ms_->record(resp.queue_s * 1e3);
+            m_render_ms_->record(render_s * 1e3);
+            m_latency_ms_->record(latencies[v] * 1e3);
+            batch[v].reply.set_value(std::move(resp));
+        };
+
         if (config_.fused_batch && n > 1) {
             // Composed pipeline (shard/shard_batch.hpp): per-view
             // routing unioned, one fused cull/precompute/sort per union
@@ -387,28 +414,9 @@ RenderService::shardedWorkerLoop()
             }
             const double render_s = clock_.seconds() - t0;
             union_shards = batch_arena.union_shards.size();
-            for (size_t v = 0; v < n; ++v) {
-                RenderResponse resp;
-                resp.image = batch_arena.views[v].out.image;
-                resp.request_id = batch[v].id;
-                resp.client_id = batch[v].client_id;
-                resp.snapshot_version = snap->base->version;
-                resp.snapshot_hash = snap->base->param_hash;
-                resp.train_step = snap->base->train_step;
-                resp.batch_size = static_cast<int>(n);
-                resp.queue_s = t0 - batch[v].enqueue_s;
-                resp.render_s = render_s;
-                resp.shards_total = static_cast<int>(snap->shardCount());
-                resp.shards_selected =
-                    static_cast<int>(batch_arena.routes[v].size());
-                selected_sum += batch_arena.routes[v].size();
-                total_sum += snap->shardCount();
-                latencies[v] = clock_.seconds() - batch[v].enqueue_s;
-                m_queue_wait_ms_->record(resp.queue_s * 1e3);
-                m_render_ms_->record(render_s * 1e3);
-                m_latency_ms_->record(latencies[v] * 1e3);
-                batch[v].reply.set_value(std::move(resp));
-            }
+            for (size_t v = 0; v < n; ++v)
+                respond(v, batch_arena.views[v].out.image, t0, render_s,
+                        batch_arena.routes[v].size());
         } else {
             // View-at-a-time: route + render each request alone (also
             // the max_batch=1 / fused_batch=off bench baseline).
@@ -425,30 +433,10 @@ RenderService::shardedWorkerLoop()
                     *snap, arena.route, batch[v].camera, config_.render,
                     arena);
                 const double render_s = clock_.seconds() - t0;
-
-                RenderResponse resp;
-                resp.image = out.image;
-                resp.request_id = batch[v].id;
-                resp.client_id = batch[v].client_id;
-                resp.snapshot_version = snap->base->version;
-                resp.snapshot_hash = snap->base->param_hash;
-                resp.train_step = snap->base->train_step;
-                resp.batch_size = static_cast<int>(n);
-                resp.queue_s = t0 - batch[v].enqueue_s;
-                resp.render_s = render_s;
-                resp.shards_total = static_cast<int>(snap->shardCount());
-                resp.shards_selected =
-                    static_cast<int>(arena.route.size());
-                selected_sum += arena.route.size();
-                total_sum += snap->shardCount();
                 union_scratch.insert(union_scratch.end(),
                                      arena.route.begin(),
                                      arena.route.end());
-                latencies[v] = clock_.seconds() - batch[v].enqueue_s;
-                m_queue_wait_ms_->record(resp.queue_s * 1e3);
-                m_render_ms_->record(render_s * 1e3);
-                m_latency_ms_->record(latencies[v] * 1e3);
-                batch[v].reply.set_value(std::move(resp));
+                respond(v, out.image, t0, render_s, arena.route.size());
             }
             std::sort(union_scratch.begin(), union_scratch.end());
             union_shards = static_cast<uint64_t>(

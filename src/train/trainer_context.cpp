@@ -4,8 +4,17 @@
 #include <limits>
 
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace clm {
+
+namespace {
+
+/** Fewest finalized rows worth forking into the pool: one row's chain
+ *  is ~59 Adam steps plus four record copies (~1 us). */
+constexpr size_t kMinParallelFinalizeRows = 64;
+
+} // namespace
 
 TrainerContext::TrainerContext(GaussianModel &model, CpuAdam &adam,
                                Densifier &densifier)
@@ -80,41 +89,33 @@ TrainerContext::materialize(const DeviceBuffer &buf)
         scratch_.unpackNonCritical(set[r], buf.paramRow(r));
 }
 
-void
-TrainerContext::writeBackCritical(const std::vector<uint32_t> &indices)
-{
-    float rec[kCriticalDim];
-    for (uint32_t g : indices) {
-        model_.packCritical(g, rec);
-        scratch_.unpackCritical(g, rec);
-    }
-}
-
 size_t
 TrainerContext::finalize(PinnedPool &pool,
                          const std::vector<uint32_t> &fin,
-                         bool observe_densify)
+                         bool observe_densify, bool parallel)
 {
-    if (fin.empty())
-        return 0;
-    // Gradients for the finalized set are complete in pinned memory;
-    // stage them and run subset Adam on the master copy (§4.2.2, §5.4).
-    for (uint32_t g : fin)
-        unpackGradRecord(pool.gradRecord(g), cpu_grads_, g);
-    if (observe_densify)
-        for (uint32_t g : fin)
-            densifier_.observeNorm(g, cpu_grads_.positionGradNorm(g));
-    adam_.updateSubset(model_, cpu_grads_, fin);
-
-    // Updated non-critical parameters become visible to future loads;
-    // gradient records reset for the next batch.
-    for (uint32_t g : fin) {
-        model_.packNonCritical(g, pool.paramRecord(g));
-        std::memset(pool.gradRecord(g), 0,
-                    kParamsPerGaussian * sizeof(float));
-    }
-    // Updated critical attributes flow back to the GPU store (§4.1).
-    writeBackCritical(fin);
+    // Gradients for each finalized row are complete in pinned memory:
+    // stage them, run subset Adam on the master copy (§4.2.2, §5.4),
+    // make the updated non-critical parameters visible to future loads,
+    // reset the gradient record for the next batch, and push the
+    // updated critical attributes back to the GPU store (§4.1).
+    auto finalize_rows = [&](size_t begin, size_t end) {
+        float rec[kCriticalDim];
+        for (size_t k = begin; k < end; ++k) {
+            const uint32_t g = fin[k];
+            unpackGradRecord(pool.gradRecord(g), cpu_grads_, g);
+            if (observe_densify)
+                densifier_.observeNorm(g, cpu_grads_.positionGradNorm(g));
+            adam_.updateRow(model_, cpu_grads_, g);
+            model_.packNonCritical(g, pool.paramRecord(g));
+            std::memset(pool.gradRecord(g), 0,
+                        kParamsPerGaussian * sizeof(float));
+            model_.packCritical(g, rec);
+            scratch_.unpackCritical(g, rec);
+        }
+    };
+    poolForRange(fin.size(), parallel && adam_.config().parallel,
+                 kMinParallelFinalizeRows, finalize_rows);
     return fin.size();
 }
 

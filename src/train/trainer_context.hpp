@@ -79,10 +79,17 @@ class TrainerContext
      * critical store (the scratch model), so the next buildWorkload()
      * culls the updated rows.
      *
+     * Each row's whole chain runs on one thread and touches only that
+     * row, so with @p parallel (and the optimizer's own `parallel`
+     * flag) the rows of @p fin spread over the global pool with results
+     * identical to the serial sweep. Trainers pass `parallel = false`
+     * when finalization runs on the engine's own thread (§5.4's
+     * overlap), so it does not compete with rendering for the pool.
+     *
      * @return Number of Gaussians updated.
      */
     size_t finalize(PinnedPool &pool, const std::vector<uint32_t> &fin,
-                    bool observe_densify);
+                    bool observe_densify, bool parallel = true);
 
     /** Failure injection (tests only): overwrite every non-critical
      *  attribute of the scratch model with NaN; see
@@ -90,10 +97,6 @@ class TrainerContext
     void debugPoisonScratchNonCritical();
 
   private:
-    /** Push master's critical attributes for @p indices to the critical
-     *  store (the scratch model). */
-    void writeBackCritical(const std::vector<uint32_t> &indices);
-
     GaussianModel &model_;      //!< Master copy (CPU, Adam-updated).
     CpuAdam &adam_;
     Densifier &densifier_;

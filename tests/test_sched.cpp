@@ -67,6 +67,24 @@ TEST(SetOps, SymmetricDifferenceIsMetric)
     EXPECT_TRUE(d.isMetric());
 }
 
+TEST(SetOps, OverlapMatrixMatchesPairwiseMerges)
+{
+    // A batch-sized matrix (64 views, 2016 pairs) fills across the
+    // pool; every cell must equal its own serial merge, both triangles.
+    auto sets = randomSets(64, 300, 0.3, 22);
+    DistanceMatrix d = buildOverlapDistanceMatrix(sets);
+    ASSERT_EQ(d.size(), sets.size());
+    for (size_t i = 0; i < sets.size(); ++i) {
+        EXPECT_EQ(d.at(i, i), 0.0);
+        for (size_t j = i + 1; j < sets.size(); ++j) {
+            const double want = static_cast<double>(
+                symmetricDifferenceSize(sets[i], sets[j]));
+            ASSERT_EQ(d.at(i, j), want) << i << "," << j;
+            ASSERT_EQ(d.at(j, i), want) << j << "," << i;
+        }
+    }
+}
+
 TEST(DistanceMatrix, SetAndGet)
 {
     DistanceMatrix d(3);

@@ -12,6 +12,7 @@
 #include <cmath>
 
 #include "core/clm.hpp"
+#include "serve/snapshot.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
 #include "train/quality_harness.hpp"
@@ -92,6 +93,30 @@ TEST(TrainerEquivalence, NaiveMatchesGpuOnlyTrajectory)
     gpu.trainBatch(ids);
     naive.trainBatch(ids);
     expectModelsClose(gpu.model(), naive.model(), 1e-5f);
+}
+
+TEST(TrainerEquivalence, PooledInlineFinalizeMatchesAsyncBitwise)
+{
+    // Inline finalization (async_adam off) spreads each release's rows
+    // over the pool, while the async Adam thread finalizes serially.
+    // Every row's chain touches only that row, so the two trajectories
+    // must agree bit for bit — with enough Gaussians that releases
+    // exceed the pooled-finalize threshold.
+    Fixture f;
+    TrainConfig async_cfg = f.config;
+    async_cfg.async_adam = true;
+    ClmTrainer inline_t(f.trainee(2400), f.cameras, f.gt_images, f.config);
+    ClmTrainer async_t(f.trainee(2400), f.cameras, f.gt_images, async_cfg);
+    for (int step = 0; step < 3; ++step) {
+        std::vector<int> ids{step % 8, (step + 3) % 8, (step + 5) % 8,
+                             (step + 6) % 8};
+        BatchStats si = inline_t.trainBatch(ids);
+        BatchStats sa = async_t.trainBatch(ids);
+        EXPECT_EQ(si.adam_updated, sa.adam_updated);
+        EXPECT_EQ(si.loss, sa.loss);
+    }
+    EXPECT_EQ(hashModelParams(inline_t.model()),
+              hashModelParams(async_t.model()));
 }
 
 /** Equivalence must hold for every ordering strategy and with caching
