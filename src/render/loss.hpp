@@ -130,8 +130,9 @@ LossResult computeLossReference(const Image &rendered,
 
 /**
  * Mean SSIM between two images (box window, clamped borders). Forward
- * only, via the same strip passes as computeLoss (equal to 1 - its
- * dssim bit for bit).
+ * only, via the same strip passes as computeLoss: it returns the same
+ * ssim_sum / (3 * pixels) that computeLoss's dssim = 1 - mean is
+ * computed from.
  */
 double meanSsim(const Image &a, const Image &b, const LossConfig &config = {});
 

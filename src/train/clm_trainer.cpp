@@ -26,10 +26,7 @@ ClmTrainer::ClmTrainer(GaussianModel model, std::vector<Camera> cameras,
       engine_(model_.size(), engineConfig(config_))
 {
     engine_.setFinalizeFn([this](const std::vector<uint32_t> &fin) {
-        // Inline finalization spreads over the pool; the §5.4 Adam
-        // thread stays serial beside the render it overlaps.
-        return ctx_.finalize(engine_.pool(), fin, densificationEnabled(),
-                             !config_.async_adam);
+        return ctx_.finalize(engine_.pool(), fin, densificationEnabled());
     });
     engine_.uploadParams(model_);
 }

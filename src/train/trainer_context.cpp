@@ -92,8 +92,12 @@ TrainerContext::materialize(const DeviceBuffer &buf)
 size_t
 TrainerContext::finalize(PinnedPool &pool,
                          const std::vector<uint32_t> &fin,
-                         bool observe_densify, bool parallel)
+                         bool observe_densify)
 {
+    CLM_ASSERT(model_.size() == adam_.size(),
+               "optimizer state size mismatch: model=", model_.size(),
+               " adam=", adam_.size());
+    CLM_ASSERT(cpu_grads_.size() == model_.size(), "gradient size mismatch");
     // Gradients for each finalized row are complete in pinned memory:
     // stage them, run subset Adam on the master copy (§4.2.2, §5.4),
     // make the updated non-critical parameters visible to future loads,
@@ -114,7 +118,7 @@ TrainerContext::finalize(PinnedPool &pool,
             scratch_.unpackCritical(g, rec);
         }
     };
-    poolForRange(fin.size(), parallel && adam_.config().parallel,
+    poolForRange(fin.size(), adam_.config().parallel,
                  kMinParallelFinalizeRows, finalize_rows);
     return fin.size();
 }

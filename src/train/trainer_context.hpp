@@ -80,16 +80,15 @@ class TrainerContext
      * culls the updated rows.
      *
      * Each row's whole chain runs on one thread and touches only that
-     * row, so with @p parallel (and the optimizer's own `parallel`
-     * flag) the rows of @p fin spread over the global pool with results
-     * identical to the serial sweep. Trainers pass `parallel = false`
-     * when finalization runs on the engine's own thread (§5.4's
-     * overlap), so it does not compete with rendering for the pool.
+     * row, so with the optimizer's `parallel` flag the rows of @p fin
+     * spread over the global pool with results identical to the serial
+     * sweep, whether finalization runs inline or on the engine's Adam
+     * thread (§5.4).
      *
      * @return Number of Gaussians updated.
      */
     size_t finalize(PinnedPool &pool, const std::vector<uint32_t> &fin,
-                    bool observe_densify, bool parallel = true);
+                    bool observe_densify);
 
     /** Failure injection (tests only): overwrite every non-critical
      *  attribute of the scratch model with NaN; see

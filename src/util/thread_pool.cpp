@@ -165,15 +165,7 @@ ThreadPool::parallelFor(size_t n,
             tasks_.push([latch] { latch->drain(); });
         in_flight_ += helpers;
     }
-    // Wake every idle worker at once rather than one notify per helper:
-    // the pool runs threads() workers beside the caller, so a worker
-    // woken onto the caller's own CPU would sit out its chunk until
-    // preempted in, and sequential single wakes let that stall the
-    // whole call (a 4-strip loss pass on a 4-vCPU host started its last
-    // chunk ~200 us late). Woken workers that find no task sleep again.
-    if (helpers > 1)
-        task_cv_.notify_all();
-    else
+    for (size_t h = 0; h < helpers; ++h)
         task_cv_.notify_one();
 
     latch->drain();

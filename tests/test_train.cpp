@@ -97,26 +97,35 @@ TEST(TrainerEquivalence, NaiveMatchesGpuOnlyTrajectory)
 
 TEST(TrainerEquivalence, PooledInlineFinalizeMatchesAsyncBitwise)
 {
-    // Inline finalization (async_adam off) spreads each release's rows
-    // over the pool, while the async Adam thread finalizes serially.
-    // Every row's chain touches only that row, so the two trajectories
-    // must agree bit for bit — with enough Gaussians that releases
-    // exceed the pooled-finalize threshold.
+    // Finalization spreads each release's rows over the pool, inline or
+    // from the async Adam thread while the trainer renders; with the
+    // optimizer's `parallel` flag off it sweeps them serially. Every
+    // row's chain touches only that row, so all three trajectories must
+    // agree bit for bit — with enough Gaussians that releases exceed the
+    // pooled-finalize threshold.
     Fixture f;
     TrainConfig async_cfg = f.config;
     async_cfg.async_adam = true;
+    TrainConfig serial_cfg = f.config;
+    serial_cfg.adam.parallel = false;
     ClmTrainer inline_t(f.trainee(2400), f.cameras, f.gt_images, f.config);
     ClmTrainer async_t(f.trainee(2400), f.cameras, f.gt_images, async_cfg);
+    ClmTrainer serial_t(f.trainee(2400), f.cameras, f.gt_images, serial_cfg);
     for (int step = 0; step < 3; ++step) {
         std::vector<int> ids{step % 8, (step + 3) % 8, (step + 5) % 8,
                              (step + 6) % 8};
         BatchStats si = inline_t.trainBatch(ids);
         BatchStats sa = async_t.trainBatch(ids);
+        BatchStats ss = serial_t.trainBatch(ids);
         EXPECT_EQ(si.adam_updated, sa.adam_updated);
+        EXPECT_EQ(si.adam_updated, ss.adam_updated);
         EXPECT_EQ(si.loss, sa.loss);
+        EXPECT_EQ(si.loss, ss.loss);
     }
     EXPECT_EQ(hashModelParams(inline_t.model()),
               hashModelParams(async_t.model()));
+    EXPECT_EQ(hashModelParams(inline_t.model()),
+              hashModelParams(serial_t.model()));
 }
 
 /** Equivalence must hold for every ordering strategy and with caching
